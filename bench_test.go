@@ -34,7 +34,7 @@ import (
 // iteration across core counts, cache sizes and write policies.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, pts, err := dse.Fig6(dse.Quick)
+		table, pts, err := dse.Fig6Ctx(b.Context(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func BenchmarkFig6(b *testing.B) {
 // curve for the 60x60 array.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, pts, err := dse.Fig6(dse.Quick)
+		_, pts, err := dse.Fig6Ctx(b.Context(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig8 regenerates Figure 8: the 30x30 array, write-back only.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, pts, err := dse.Fig8(dse.Quick)
+		table, pts, err := dse.Fig8Ctx(b.Context(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates Figure 9: speedup vs area for the 30x30 array.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, pts, err := dse.Fig8(dse.Quick)
+		_, pts, err := dse.Fig8Ctx(b.Context(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkFig9(b *testing.B) {
 // growing to >5x at 10 cores / 16 kB.
 func BenchmarkHybridVsSharedMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, rows, err := dse.HybridComparison(dse.Quick)
+		table, rows, err := dse.HybridComparisonCtx(b.Context(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkHybridVsSharedMemory(b *testing.B) {
 // regime the sync-only hybrid tracks the full hybrid within 2-20%.
 func BenchmarkSyncVsFullMessagePassing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, rows, err := dse.SmallCacheComparison(dse.Quick)
+		table, rows, err := dse.SmallCacheComparisonCtx(b.Context(), dse.Quick)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkDeflectionVsXY(b *testing.B) {
 func BenchmarkRouterAblation(b *testing.B) {
 	o := dse.DefaultRouterAblationOptions()
 	for i := 0; i < b.N; i++ {
-		points, err := dse.RouterAblation(o)
+		points, err := dse.RouterAblationCtx(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkRouterAblation(b *testing.B) {
 func BenchmarkTopologyAblation(b *testing.B) {
 	o := dse.DefaultTopologyAblationOptions()
 	for i := 0; i < b.N; i++ {
-		points, err := dse.TopologyAblation(o)
+		points, err := dse.TopologyAblationCtx(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func BenchmarkTopologyAblation(b *testing.B) {
 func BenchmarkKernelAblation(b *testing.B) {
 	o := dse.DefaultKernelAblationOptions()
 	for i := 0; i < b.N; i++ {
-		points, err := dse.KernelAblation(o)
+		points, err := dse.KernelAblationCtx(b.Context(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func BenchmarkMatMulBroadcast(b *testing.B) {
 		var total, transfer int64
 		for i := 0; i < b.N; i++ {
 			cfg := core.DefaultConfig(8, 16, cache.WriteBack)
-			res, err := matmul.Run(cfg, matmul.Spec{N: 24}, v)
+			res, err := matmul.RunCtx(b.Context(), cfg, matmul.Spec{N: 24}, v)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -426,7 +426,7 @@ func BenchmarkScenarioPatternSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		results, err := scenario.Run(s)
+		results, err := scenario.RunCtx(b.Context(), s)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,7 @@
 // figure/table -> command map).
 //
 // Every experiment runs through the same execution paths as the
-// declarative scenario runner (dse.Sweep, dse.KernelSweep), so the
+// declarative scenario runner (dse.Sweep, dse.KernelSweepCtx), so the
 // hand-coded tables here and the JSON scenarios under examples/scenarios/
 // cannot drift apart.
 //

@@ -27,7 +27,7 @@ func TestGoldenFig8ViaCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := dse.PointsCSV(pts); out.String() != want {
-		t.Errorf("CLI output diverges from dse.Fig8(Quick):\n--- cli ---\n%s--- dse ---\n%s",
+		t.Errorf("CLI output diverges from dse.Fig8Ctx(t.Context(), Quick):\n--- cli ---\n%s--- dse ---\n%s",
 			out.String(), want)
 	}
 }

@@ -105,15 +105,15 @@ func TestKernelSweepCacheByteIdentical(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			o := KernelOptions{Kernel: k, N: 16, Cores: []int{2, 4}, CachesKB: []int{8}}
-			off, err := KernelSweep(o)
+			off, err := KernelSweepCtx(t.Context(), o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			o.Cache = resultcache.New(resultcache.NewMemoryStore(0))
-			if _, err := KernelSweep(o); err != nil { // cold
+			if _, err := KernelSweepCtx(t.Context(), o); err != nil { // cold
 				t.Fatal(err)
 			}
-			warm, err := KernelSweep(o)
+			warm, err := KernelSweepCtx(t.Context(), o)
 			if err != nil {
 				t.Fatal(err)
 			}

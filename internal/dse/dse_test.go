@@ -133,7 +133,7 @@ func TestCompareSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compare in short mode")
 	}
-	rows, err := Compare(16, []int{2, 4}, 8, 1, 1)
+	rows, err := CompareCtx(t.Context(), 16, []int{2, 4}, 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

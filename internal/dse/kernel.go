@@ -4,7 +4,7 @@ package dse
 // (experiment K-1): every compute kernel (jacobi, matmul, syncbench) run
 // in both of the paper's programming models — message passing
 // (hybrid-full) against pure shared memory — across core counts, from one
-// execution path. KernelSweep is that path: the scenario runner's kernel
+// execution path. KernelSweepCtx is that path: the scenario runner's kernel
 // workloads and the hand-coded K-1 table both delegate here, so the
 // declarative and programmatic results are golden-comparable
 // point-for-point.
@@ -24,7 +24,7 @@ import (
 	"repro/internal/syncbench"
 )
 
-// Kernel selects a compute kernel for KernelSweep. Kernels are a
+// Kernel selects a compute kernel for KernelSweepCtx. Kernels are a
 // first-class sweep axis: every kind runs on the same full MEDEA system
 // (cores + caches + MPMMU over the NoC) under the same Variant vocabulary,
 // so the cost of the two communication paths is directly comparable across
@@ -110,7 +110,7 @@ func (k Kernel) Supports(v jacobi.Variant) bool {
 	return true
 }
 
-// KernelOptions parameterizes a KernelSweep over one kernel.
+// KernelOptions parameterizes a KernelSweepCtx over one kernel.
 type KernelOptions struct {
 	Kernel Kernel
 	// N is the problem size: the grid edge for jacobi, the matrix edge for
@@ -214,19 +214,14 @@ func (o *KernelOptions) withDefaults() error {
 	return nil
 }
 
-// KernelSweep evaluates the variants x policies x caches x cores
-// cross-product of one kernel and returns the points in deterministic
-// axis order (variants outermost, then policy, cache, cores — the same
-// inner ordering as Sweep). Speedup is attached per variant series. This
-// is the single execution path behind scenario kernel workloads,
-// KernelAblation and cmd/medea-experiments.
-func KernelSweep(o KernelOptions) ([]KernelPoint, error) {
-	return KernelSweepCtx(context.Background(), o)
-}
-
-// KernelSweepCtx is KernelSweep with cooperative cancellation: a canceled
-// context stops dispatching new points and interrupts in-flight
-// simulations (see SweepCtx for the error shape).
+// KernelSweepCtx evaluates the variants x policies x caches x cores
+// cross-product of one kernel and returns the points in deterministic axis order
+// (variants outermost, then policy, cache, cores — the same inner ordering
+// as Sweep). Speedup is attached per variant series. This is the single
+// execution path behind scenario kernel workloads, KernelAblationCtx and
+// cmd/medea-experiments. Cancellation is cooperative: a canceled context
+// stops dispatching new points and interrupts in-flight simulations (see
+// SweepCtx for the error shape).
 func KernelSweepCtx(ctx context.Context, o KernelOptions) ([]KernelPoint, error) {
 	if err := o.withDefaults(); err != nil {
 		return nil, err
@@ -389,7 +384,7 @@ func AttachKernelSpeedup(points []KernelPoint) {
 	}
 }
 
-// KernelAblationOptions parameterizes KernelAblation. The zero value is
+// KernelAblationOptions parameterizes KernelAblationCtx. The zero value is
 // not runnable; use DefaultKernelAblationOptions.
 type KernelAblationOptions struct {
 	// N is the problem size shared by jacobi and matmul.
@@ -429,15 +424,10 @@ func DefaultKernelAblationOptions() KernelAblationOptions {
 	}
 }
 
-// KernelAblation sweeps kernels x variants x cores and returns one point
-// per combination, kernels outermost, in deterministic order. Each
-// kernel's share is one KernelSweep, the execution path shared with the
-// scenario runner.
-func KernelAblation(o KernelAblationOptions) ([]KernelPoint, error) {
-	return KernelAblationCtx(context.Background(), o)
-}
-
-// KernelAblationCtx is KernelAblation with cooperative cancellation.
+// KernelAblationCtx sweeps kernels x variants x cores and returns one
+// point per combination, kernels outermost, in deterministic order. Each
+// kernel's share is one KernelSweepCtx, the execution path shared with the
+// scenario runner. It supports cooperative cancellation.
 func KernelAblationCtx(ctx context.Context, o KernelAblationOptions) ([]KernelPoint, error) {
 	kernels := o.Kernels
 	if len(kernels) == 0 {

@@ -41,7 +41,7 @@ func TestKernelSupports(t *testing.T) {
 
 func TestKernelSweepValidation(t *testing.T) {
 	base := KernelOptions{Kernel: KernelJacobi, N: 16, Cores: []int{2}, CachesKB: []int{8}}
-	if _, err := KernelSweep(base); err != nil {
+	if _, err := KernelSweepCtx(t.Context(), base); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	cases := []struct {
@@ -60,7 +60,7 @@ func TestKernelSweepValidation(t *testing.T) {
 	for _, c := range cases {
 		o := base
 		c.mutate(&o)
-		if _, err := KernelSweep(o); err == nil {
+		if _, err := KernelSweepCtx(t.Context(), o); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -78,7 +78,7 @@ func TestKernelSweepMatchesSweepForJacobi(t *testing.T) {
 		Policies: []cache.Policy{cache.WriteBack, cache.WriteThrough},
 		Variants: []jacobi.Variant{jacobi.HybridFull},
 	}
-	kpts, err := KernelSweep(o)
+	kpts, err := KernelSweepCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestKernelAblationShapes(t *testing.T) {
 	}
 	o := DefaultKernelAblationOptions()
 	o.Cores = []int{2, 6, 12}
-	points, err := KernelAblation(o)
+	points, err := KernelAblationCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestKernelSweepDeterministic(t *testing.T) {
 		CachesKB: []int{4},
 		Variants: []jacobi.Variant{jacobi.HybridFull, jacobi.PureSM},
 	}
-	a, err := KernelSweep(o)
+	a, err := KernelSweepCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Parallelism = 1
-	b, err := KernelSweep(o)
+	b, err := KernelSweepCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

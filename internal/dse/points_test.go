@@ -80,7 +80,7 @@ func TestKernelSweepPointsFilter(t *testing.T) {
 		Warmup:   1,
 		Measured: 1,
 	}
-	full, err := KernelSweep(o)
+	full, err := KernelSweepCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestKernelSweepPointsFilter(t *testing.T) {
 	}
 	// One index in each variant's series.
 	o.Points = []int{1, 2}
-	sub, err := KernelSweep(o)
+	sub, err := KernelSweepCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ type RouterPoint struct {
 	PeakBuffer     int // worst per-switch buffer occupancy
 }
 
-// RouterAblationOptions parameterizes RouterAblation. The zero value is
+// RouterAblationOptions parameterizes RouterAblationCtx. The zero value is
 // not runnable; use DefaultRouterAblationOptions.
 type RouterAblationOptions struct {
 	W, H    int
@@ -59,15 +59,10 @@ func DefaultRouterAblationOptions() RouterAblationOptions {
 	}
 }
 
-// RouterAblation sweeps routers x rates on the fixed worker pool and
+// RouterAblationCtx sweeps routers x rates on the fixed worker pool and
 // returns one point per combination, routers outermost, in deterministic
-// order.
-func RouterAblation(o RouterAblationOptions) ([]RouterPoint, error) {
-	return RouterAblationCtx(context.Background(), o)
-}
-
-// RouterAblationCtx is RouterAblation with cooperative cancellation (see
-// SweepCtx for the error shape).
+// order. It supports cooperative cancellation (see SweepCtx for the error
+// shape).
 func RouterAblationCtx(ctx context.Context, o RouterAblationOptions) ([]RouterPoint, error) {
 	topo, err := noc.NewTopology(o.W, o.H)
 	if err != nil {

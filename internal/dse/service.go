@@ -31,7 +31,7 @@ type ServicePoint struct {
 	P99Server   float64 // the hotspot signal
 }
 
-// ServiceAblationOptions parameterizes ServiceAblation. The zero value is
+// ServiceAblationOptions parameterizes ServiceAblationCtx. The zero value is
 // not runnable; use DefaultServiceAblationOptions.
 type ServiceAblationOptions struct {
 	W, H      int
@@ -65,14 +65,9 @@ func DefaultServiceAblationOptions() ServiceAblationOptions {
 	}
 }
 
-// ServiceAblation sweeps skews x rates on the fixed worker pool and
+// ServiceAblationCtx sweeps skews x rates on the fixed worker pool and
 // returns one point per combination, skews outermost, in deterministic
-// order.
-func ServiceAblation(o ServiceAblationOptions) ([]ServicePoint, error) {
-	return ServiceAblationCtx(context.Background(), o)
-}
-
-// ServiceAblationCtx is ServiceAblation with cooperative cancellation.
+// order. It supports cooperative cancellation.
 func ServiceAblationCtx(ctx context.Context, o ServiceAblationOptions) ([]ServicePoint, error) {
 	topo, err := noc.NewTopology(o.W, o.H)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestShapeHybridAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := Compare(60, []int{4, 10}, 16, 1, 1)
+	rows, err := CompareCtx(t.Context(), 60, []int{4, 10}, 16, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestShapeSyncOnlyTracksFullWhenMissBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	rows, err := Compare(60, []int{6}, 2, 1, 1)
+	rows, err := CompareCtx(t.Context(), 60, []int{6}, 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestShapeParetoKnees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy shape test")
 	}
-	_, pts, err := Fig6(Quick)
+	_, pts, err := Fig6Ctx(t.Context(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestShapeParetoKnees(t *testing.T) {
 func TestServiceAblationShape(t *testing.T) {
 	o := DefaultServiceAblationOptions()
 	o.Measure = 3000
-	points, err := ServiceAblation(o)
+	points, err := ServiceAblationCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestServiceAblationShape(t *testing.T) {
 				hi, worst[hi], lo, worst[lo])
 		}
 	}
-	again, err := ServiceAblation(o)
+	again, err := ServiceAblationCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

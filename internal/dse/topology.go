@@ -30,7 +30,7 @@ type TopologyPoint struct {
 	PeakBuffer     int // worst per-switch buffer occupancy
 }
 
-// TopologyAblationOptions parameterizes TopologyAblation. The zero value
+// TopologyAblationOptions parameterizes TopologyAblationCtx. The zero value
 // is not runnable; use DefaultTopologyAblationOptions.
 type TopologyAblationOptions struct {
 	// W, H size the endpoint grid (every fabric serves the same endpoint
@@ -65,16 +65,11 @@ func DefaultTopologyAblationOptions() TopologyAblationOptions {
 	}
 }
 
-// TopologyAblation sweeps topologies x rates on the fixed worker pool and
-// returns one point per combination, topologies outermost, in
-// deterministic order. Every listed pattern/topology combination must
-// pass per-topology validation.
-func TopologyAblation(o TopologyAblationOptions) ([]TopologyPoint, error) {
-	return TopologyAblationCtx(context.Background(), o)
-}
-
-// TopologyAblationCtx is TopologyAblation with cooperative cancellation
-// (see SweepCtx for the error shape).
+// TopologyAblationCtx sweeps topologies x rates on the fixed worker pool
+// and returns one point per combination, topologies outermost, in
+// deterministic order. Every listed pattern/topology combination must pass
+// per-topology validation. It supports cooperative cancellation (see
+// SweepCtx for the error shape).
 func TopologyAblationCtx(ctx context.Context, o TopologyAblationOptions) ([]TopologyPoint, error) {
 	kinds := o.Topologies
 	if len(kinds) == 0 {

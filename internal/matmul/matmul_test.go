@@ -83,7 +83,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 	for _, variant := range []Variant{HybridFull, HybridSync, PureSM} {
 		for _, cores := range []int{1, 3, 6} {
 			cfg := core.DefaultConfig(cores, 8, cache.WriteBack)
-			if _, err := Run(cfg, Spec{N: 12}, variant); err != nil {
+			if _, err := RunCtx(t.Context(), cfg, Spec{N: 12}, variant); err != nil {
 				t.Errorf("%v cores=%d: %v", variant, cores, err)
 			}
 		}
@@ -92,7 +92,7 @@ func TestAllVariantsMatchReference(t *testing.T) {
 
 func TestMoreRanksThanRows(t *testing.T) {
 	cfg := core.DefaultConfig(15, 4, cache.WriteBack)
-	if _, err := Run(cfg, Spec{N: 8}, HybridFull); err != nil {
+	if _, err := RunCtx(t.Context(), cfg, Spec{N: 8}, HybridFull); err != nil {
 		t.Error(err)
 	}
 }
@@ -106,11 +106,11 @@ func TestBroadcastBeatsSharedMemoryReads(t *testing.T) {
 	}
 	cfg := core.DefaultConfig(8, 16, cache.WriteBack)
 	spec := Spec{N: 24}
-	hy, err := Run(cfg, spec, HybridFull)
+	hy, err := RunCtx(t.Context(), cfg, spec, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Run(cfg, spec, PureSM)
+	sm, err := RunCtx(t.Context(), cfg, spec, PureSM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestBroadcastBeatsSharedMemoryReads(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	cfg := core.DefaultConfig(4, 8, cache.WriteBack)
-	a, err := Run(cfg, Spec{N: 12}, HybridFull)
+	a, err := RunCtx(t.Context(), cfg, Spec{N: 12}, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, Spec{N: 12}, HybridFull)
+	b, err := RunCtx(t.Context(), cfg, Spec{N: 12}, HybridFull)
 	if err != nil {
 		t.Fatal(err)
 	}

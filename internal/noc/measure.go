@@ -62,21 +62,39 @@ func Measure(topo Topology, mc MeasureConfig) Measurement {
 }
 
 // measureRig is a built network ready to run: the engine, the fabric and
-// one traffic node per endpoint.
+// one node per endpoint.
 type measureRig struct {
 	e *sim.Engine
 	n *Network
 }
 
-func buildRig(topo Topology, mc MeasureConfig) *measureRig {
+// endpointNode is what a rig attaches at every endpoint: the port the
+// network pulls from and delivers to, stepped by the engine.
+type endpointNode interface {
+	LocalPort
+	sim.Component
+}
+
+// buildRig builds the router network over topo with newNode(i) attached
+// at every endpoint i. Synthetic traffic, trace replay and the service
+// workload differ only in the node they attach.
+func buildRig(topo Topology, router RouterKind, newNode func(id int) endpointNode) *measureRig {
 	e := sim.NewEngine()
-	n := NewRouterNetwork(e, topo, mc.Router)
+	n := NewRouterNetwork(e, topo, router)
 	for i := 0; i < topo.NumEndpoints(); i++ {
-		tn := NewTrafficNode(i, topo, mc.Traffic, mc.Seed)
-		n.Attach(i, tn)
-		e.Register(sim.PhaseNode, tn)
+		node := newNode(i)
+		n.Attach(i, node)
+		e.Register(sim.PhaseNode, node)
 	}
 	return &measureRig{e: e, n: n}
+}
+
+// trafficRig builds the synthetic-traffic rig of mc: one traffic node per
+// endpoint.
+func trafficRig(topo Topology, mc MeasureConfig) *measureRig {
+	return buildRig(topo, mc.Router, func(id int) endpointNode {
+		return NewTrafficNode(id, topo, mc.Traffic, mc.Seed)
+	})
 }
 
 // window runs one measurement window on a warmed-up rig, attaching a
@@ -121,7 +139,7 @@ func (r *measureRig) window(ctx context.Context, topo Topology, measure int64) (
 // stops in bounded wall time and returns the context's error with a
 // zero-value Measurement.
 func MeasureCtx(ctx context.Context, topo Topology, mc MeasureConfig) (Measurement, error) {
-	r := buildRig(topo, mc)
+	r := trafficRig(topo, mc)
 	if err := r.e.RunCtx(ctx, mc.Warmup); err != nil {
 		return Measurement{}, err
 	}
@@ -151,7 +169,7 @@ func MeasureWindowsCtx(ctx context.Context, topo Topology, mc MeasureConfig, win
 		return out, nil
 	}
 
-	r := buildRig(topo, mc)
+	r := trafficRig(topo, mc)
 	if err := r.e.RunCtx(ctx, mc.Warmup); err != nil {
 		return nil, err
 	}

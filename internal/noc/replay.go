@@ -130,15 +130,10 @@ func MeasureReplayCtx(ctx context.Context, topo Topology, rc ReplayConfig) (Meas
 		}
 		per[ev.Src] = append(per[ev.Src], ev)
 	}
-	e := sim.NewEngine()
-	net := NewRouterNetwork(e, topo, rc.Router)
-	for i := 0; i < n; i++ {
-		rn := newReplayNode(i, topo, per[i])
-		net.Attach(i, rn)
-		e.Register(sim.PhaseNode, rn)
-	}
-	rig := &measureRig{e: e, n: net}
-	if err := e.RunCtx(ctx, rc.Warmup); err != nil {
+	rig := buildRig(topo, rc.Router, func(id int) endpointNode {
+		return newReplayNode(id, topo, per[id])
+	})
+	if err := rig.e.RunCtx(ctx, rc.Warmup); err != nil {
 		return Measurement{}, err
 	}
 	return rig.window(ctx, topo, rc.Measure)

@@ -335,8 +335,7 @@ func (s *svcServer) NextEvent(now int64) int64 {
 
 // serviceRig is a built service rig ready to run.
 type serviceRig struct {
-	e     *sim.Engine
-	n     *Network
+	*measureRig
 	board *svcBoard
 }
 
@@ -370,24 +369,15 @@ func buildServiceRig(topo Topology, sc ServiceMeasureConfig) *serviceRig {
 	if sc.ResponseFlits <= 0 {
 		sc.ResponseFlits = 1
 	}
-	e := sim.NewEngine()
-	n := NewRouterNetwork(e, topo, sc.Router)
 	board := newSvcBoard()
 	clients := topo.NumEndpoints() - sc.Servers
-	for i := 0; i < topo.NumEndpoints(); i++ {
-		var port LocalPort
-		var comp sim.Component
-		if i < clients {
-			c := newSvcClient(i, topo, sc, board)
-			port, comp = c, c
-		} else {
-			s := newSvcServer(i, topo, sc, board)
-			port, comp = s, s
+	rig := buildRig(topo, sc.Router, func(id int) endpointNode {
+		if id < clients {
+			return newSvcClient(id, topo, sc, board)
 		}
-		n.Attach(i, port)
-		e.Register(sim.PhaseNode, comp)
-	}
-	return &serviceRig{e: e, n: n, board: board}
+		return newSvcServer(id, topo, sc, board)
+	})
+	return &serviceRig{measureRig: rig, board: board}
 }
 
 // window runs one measurement window on a warmed-up service rig.

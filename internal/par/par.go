@@ -1,13 +1,13 @@
 // Package par provides the fixed worker-pool parallel-for shared by the
-// sweep drivers (dse.Sweep, scenario.Run): a bounded number of goroutines
-// pulls indices from a channel, so the goroutine count stays constant no
-// matter how large the job grid grows.
+// sweep drivers (dse.SweepCtx, scenario.RunCtx): a bounded number of
+// goroutines pulls indices from a channel, so the goroutine count stays
+// constant no matter how large the job grid grows.
 //
-// ForEachCtx is the robust entry point: it stops dispatching new jobs when
-// the context is canceled (in-flight jobs finish; the sweep stops at job
+// ForEachCtx is the entry point: it stops dispatching new jobs when the
+// context is canceled (in-flight jobs finish; the sweep stops at job
 // granularity), converts a panicking job into a per-job *PanicError
 // instead of crashing the process, and reports partial completion through
-// *CanceledError. ForEach is the legacy fire-and-forget shim over it.
+// *CanceledError.
 package par
 
 import (
@@ -50,24 +50,6 @@ func (e *CanceledError) Error() string {
 
 // Unwrap exposes the underlying context error.
 func (e *CanceledError) Unwrap() error { return e.Err }
-
-// ForEach runs fn(i) for every i in [0, n) on a fixed pool of workers
-// goroutines (workers <= 0 means GOMAXPROCS). It returns when all calls
-// have completed. fn must synchronize any shared state itself; writing
-// each i to its own slot of a pre-sized slice needs no synchronization.
-func ForEach(n, workers int, fn func(int)) {
-	err := ForEachCtx(context.Background(), n, workers, func(i int) error {
-		fn(i)
-		return nil
-	})
-	// The only possible error here is a recovered panic (the context is
-	// never canceled and fn returns no errors); re-panic it so legacy
-	// callers keep the crash-on-bug semantics they were written against.
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		panic(pe.Value)
-	}
-}
 
 // ForEachCtx runs fn(i) for every i in [0, n) on a fixed pool of workers
 // goroutines (workers <= 0 means GOMAXPROCS) and returns after every

@@ -12,9 +12,12 @@ import (
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 100} {
 		counts := make([]int32, 37)
-		ForEach(len(counts), workers, func(i int) {
+		if err := ForEachCtx(t.Context(), len(counts), workers, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
-		})
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
@@ -25,7 +28,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachZeroJobs(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(int) { ran = true })
+	if err := ForEachCtx(t.Context(), 0, 4, func(int) error { ran = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Error("fn ran with n=0")
 	}
@@ -144,20 +149,4 @@ func TestForEachCtxErrorsJoinInIndexOrder(t *testing.T) {
 	if !(i1 < i5 && i5 < i7) {
 		t.Errorf("errors out of index order in %q", msg)
 	}
-}
-
-func TestForEachRepanics(t *testing.T) {
-	// The legacy shim restores crash-on-bug semantics: the recovered value
-	// surfaces as a panic in the caller, not as a swallowed error.
-	defer func() {
-		if r := recover(); r != "legacy boom" {
-			t.Errorf("recovered %v, want the original panic value", r)
-		}
-	}()
-	ForEach(4, 2, func(i int) {
-		if i == 2 {
-			panic("legacy boom")
-		}
-	})
-	t.Error("ForEach returned instead of re-panicking")
 }

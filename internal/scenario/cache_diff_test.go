@@ -40,7 +40,7 @@ func runScoped(t *testing.T, path string, rc *resultcache.Cache) (map[string]str
 	}
 	scope := rc.Scope()
 	s.Cache = scope
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}

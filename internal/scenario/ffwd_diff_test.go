@@ -68,9 +68,8 @@ func windowScenario(t *testing.T) *Scenario {
 		Name:     "window-sweep",
 		Workload: WorkloadNoC.String(),
 		NoC: &NoCConfig{
-			Width: 4, Height: 4,
+			fabric:         fabric{Width: 4, Height: 4, Routers: []string{"deflection", "wormhole"}},
 			Patterns:       []string{"uniform", "transpose"},
-			Routers:        []string{"deflection", "wormhole"},
 			Rates:          []float64{0.05},
 			WarmupCycles:   1_000,
 			MeasureWindows: []int64{500, 1_500, 3_000},
@@ -91,11 +90,11 @@ func TestWindowForkDifferential(t *testing.T) {
 	defer SetWindowFork(WindowFork())
 
 	SetWindowFork(true)
-	forked, err := Run(windowScenario(t))
+	forked, err := RunCtx(t.Context(), windowScenario(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(windowScenario(t))
+	again, err := RunCtx(t.Context(), windowScenario(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestWindowForkDifferential(t *testing.T) {
 	}
 
 	SetWindowFork(false)
-	independent, err := Run(windowScenario(t))
+	independent, err := RunCtx(t.Context(), windowScenario(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestWindowCacheInterop(t *testing.T) {
 
 	s := windowScenario(t)
 	s.Cache = rc.Scope()
-	forked, err := Run(s)
+	forked, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestWindowCacheInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		fixed.Cache = rc.Scope()
-		got, err := Run(fixed)
+		got, err := RunCtx(t.Context(), fixed)
 		if err != nil {
 			t.Fatal(err)
 		}

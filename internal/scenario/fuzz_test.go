@@ -47,5 +47,8 @@ func FuzzParse(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted scenario fails re-validation: %v\n%s", err, data)
 		}
+		if got := summaryProduct(t, s); got != s.NumPoints() {
+			t.Fatalf("summary axes multiply to %d, NumPoints = %d: %q\n%s", got, s.NumPoints(), Summary(s), data)
+		}
 	})
 }

@@ -38,7 +38,7 @@ func TestFig8QuickGolden(t *testing.T) {
 		t.Errorf("fig8-quick.json policies = %v, dse says %v", s.Jacobi.Policies, want.Policies)
 	}
 
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFig8QuickGolden(t *testing.T) {
 	wantCSV := dse.PointsCSV(pts)
 
 	if gotCSV != wantCSV {
-		t.Errorf("scenario sweep diverges from dse.Fig8(Quick):\n--- scenario ---\n%s--- dse ---\n%s",
+		t.Errorf("scenario sweep diverges from dse.Fig8Ctx(t.Context(), Quick):\n--- scenario ---\n%s--- dse ---\n%s",
 			gotCSV, wantCSV)
 	}
 	// The scenario's own CSV renderer must agree byte-for-byte too (same

@@ -16,7 +16,7 @@ func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func loadKernelAblation(t *testing.T) (*Scenario, []Result) {
 // TestKernelAblationGolden proves the declarative path is exact for the
 // workload axis, mirroring TestTopologyAblationGolden: running
 // kernel-ablation.json must reproduce
-// dse.KernelAblation(DefaultKernelAblationOptions()) point-for-point,
-// because both delegate to dse.KernelSweep.
+// dse.KernelAblationCtx(ctx, DefaultKernelAblationOptions()) point-for-point,
+// because both delegate to dse.KernelSweepCtx.
 func TestKernelAblationGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full kernel ablations")
@@ -62,7 +62,7 @@ func TestKernelAblationGolden(t *testing.T) {
 		t.Errorf("kernel-ablation.json variants = %v (%v), dse says %v", variants, err, want.Variants)
 	}
 
-	points, err := dse.KernelAblation(want)
+	points, err := dse.KernelAblationCtx(t.Context(), want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestKernelWorkloadsRenderPerSchema(t *testing.T) {
 	if got, want := s.NumPoints(), 2*2*1*1*2; got != want {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 	if got, want := multi.NumPoints(), 2*2; got != want {
 		t.Fatalf("NumPoints = %d, want %d", got, want)
 	}
-	results, err := Run(multi)
+	results, err := RunCtx(t.Context(), multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestJacobiVariantsAxis(t *testing.T) {
 		t.Errorf("per-variant speedup baselines broken: %+v", results)
 	}
 
-	single, err := Run(mustParse(t, `{
+	single, err := RunCtx(t.Context(), mustParse(t, `{
 		"name": "v",
 		"workload": "jacobi",
 		"jacobi": {"n": 16, "cores": [2, 4], "cache_kb": [8]}

@@ -3,15 +3,15 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"text/tabwriter"
 )
 
 // Render formats results in the named format (FormatTable, FormatCSV or
-// FormatJSON; "" means table). Rendering dispatches through the workload
-// registry: each row is formatted by its kind's registered schema, and a
-// result set spanning several workloads (the "workloads" sweep axis)
-// renders as one block per workload.
+// FormatJSON; "" means table). Each row is formatted by its kind's
+// schema in the spec table, and a result set spanning several workloads
+// (the "workloads" sweep axis) renders as one block per workload.
 func Render(results []Result, format string) (string, error) {
 	switch format {
 	case "", FormatTable:
@@ -30,7 +30,7 @@ func Render(results []Result, format string) (string, error) {
 // group per workload comes back; hand-assembled interleavings still
 // render correctly, with repeated headers.
 type renderGroup struct {
-	impl Workload
+	kind WorkloadKind
 	rows []Result
 }
 
@@ -38,11 +38,11 @@ func renderGroups(results []Result) []renderGroup {
 	var groups []renderGroup
 	for _, r := range results {
 		k := workloadOfRow(r)
-		if n := len(groups); n > 0 && groups[n-1].impl.Kind() == k {
+		if n := len(groups); n > 0 && groups[n-1].kind == k {
 			groups[n-1].rows = append(groups[n-1].rows, r)
 			continue
 		}
-		groups = append(groups, renderGroup{impl: ForKind(k), rows: []Result{r}})
+		groups = append(groups, renderGroup{kind: k, rows: []Result{r}})
 	}
 	return groups
 }
@@ -70,7 +70,7 @@ func Table(results []Result) string {
 			b.WriteByte('\n')
 		}
 		w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
-		g.impl.TableInto(w, g.rows)
+		specs[g.kind].render.table(w, g.rows)
 		w.Flush()
 	}
 	return b.String()
@@ -82,11 +82,11 @@ func CSV(results []Result) string {
 	if len(results) == 0 {
 		// Headers only, so empty sweeps still yield parseable output (the
 		// noc schema, matching the pre-registry behaviour).
-		nocWorkload{}.CSVInto(&b, nil)
+		nocCSV(&b, nil)
 		return b.String()
 	}
 	for _, g := range renderGroups(results) {
-		g.impl.CSVInto(&b, g.rows)
+		specs[g.kind].render.csv(&b, g.rows)
 	}
 	return b.String()
 }
@@ -96,7 +96,7 @@ func CSV(results []Result) string {
 func JSON(results []Result) (string, error) {
 	rows := make([]any, len(results))
 	for i, r := range results {
-		rows[i] = ForKind(workloadOfRow(r)).JSONRow(r)
+		rows[i] = specs[workloadOfRow(r)].render.json(r)
 	}
 	out, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
@@ -106,33 +106,21 @@ func JSON(results []Result) (string, error) {
 }
 
 // Summary renders a one-line header describing the scenario and its sweep
-// size, for CLI output above the result block.
+// size, for CLI output above the result block. The axes are the kind's
+// spec axes (plus the workloads axis for kernels), so their product is
+// NumPoints.
 func Summary(s *Scenario) string {
 	kinds, err := s.workloadKinds()
 	if err != nil {
 		return fmt.Sprintf("%s: invalid workload axis", s.Name)
 	}
-	var axes string
-	switch kinds[0] {
-	case WorkloadNoC:
-		axes = fmt.Sprintf("%d topologies x %d routers x %d patterns x %d rates x %d seeds",
-			max(1, len(s.NoC.Topologies)), max(1, len(s.NoC.Routers)),
-			len(s.NoC.Patterns), len(s.NoC.Rates), len(s.seedList()))
-	case WorkloadTrace:
-		if t, err := s.Trace.load(); err == nil {
-			axes = fmt.Sprintf("%d topologies x %d routers replaying %d recorded events",
-				len(s.Trace.topologyList(t)), len(s.Trace.routerList(t)), len(t.Events))
-		} else {
-			axes = "trace replay"
-		}
-	case WorkloadService:
-		axes = fmt.Sprintf("%d topologies x %d routers x %d rates x %d seeds",
-			max(1, len(s.Service.Topologies)), max(1, len(s.Service.Routers)),
-			len(s.Service.ArrivalRates), len(s.seedList()))
-	default:
-		c := s.kernelConfig()
-		axes = fmt.Sprintf("%d workloads x %d variants x %d cores x %d caches x %d policies",
-			len(kinds), max(1, len(c.Variants)), len(c.Cores), len(c.CacheKB), max(1, len(c.Policies)))
+	spec := &specs[kinds[0]]
+	var axes []string
+	if spec.kernel != nil {
+		axes = append(axes, fmt.Sprintf("%d workloads", len(kinds)))
+	}
+	for _, a := range spec.axes(s) {
+		axes = append(axes, fmt.Sprintf("%d %s", a.n, a.name))
 	}
 	names := make([]string, len(kinds))
 	for i, k := range kinds {
@@ -143,7 +131,20 @@ func Summary(s *Scenario) string {
 		plural = "workloads"
 	}
 	return fmt.Sprintf("%s: %s %s, %s = %d points",
-		s.Name, strings.Join(names, "+"), plural, axes, s.NumPoints())
+		s.Name, strings.Join(names, "+"), plural, strings.Join(axes, " x "), s.NumPoints())
+}
+
+// projectRow copies a row's fields into T, a kind's JSON projection of
+// Result: T lists the kind's fields (same names as Result's) in output
+// order, with every field always emitted — including legitimate zeros
+// omitempty would drop — and nothing from other kinds leaking in.
+func projectRow[T any](r Result) any {
+	var t T
+	dst, src := reflect.ValueOf(&t).Elem(), reflect.ValueOf(r)
+	for i := range dst.NumField() {
+		dst.Field(i).Set(src.FieldByName(dst.Type().Field(i).Name))
+	}
+	return t
 }
 
 // multiVariant reports whether the rows span more than one programming-
@@ -165,7 +166,7 @@ func multiVariant(rows []Result) bool {
 // variants axis appends a variant column without disturbing the pinned
 // prefix.
 
-func (jacobiWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
+func jacobiTable(w *tabwriter.Writer, rows []Result) {
 	multi := multiVariant(rows)
 	head := "cores\tcache\tpolicy\tcycles/iter\tmiss%\tarea(mm2)\tspeedup\t"
 	if multi {
@@ -182,7 +183,7 @@ func (jacobiWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
 	}
 }
 
-func (jacobiWorkload) CSVInto(b *strings.Builder, rows []Result) {
+func jacobiCSV(b *strings.Builder, rows []Result) {
 	multi := multiVariant(rows)
 	head := "compute,cache_kb,policy,cycles_per_iter,miss_rate,area_mm2,speedup"
 	if multi {
@@ -199,10 +200,8 @@ func (jacobiWorkload) CSVInto(b *strings.Builder, rows []Result) {
 	}
 }
 
-// jacobiJSON is the jacobi projection of Result: every field always
-// emitted — including legitimate zeros omitempty would drop — and nothing
-// from other workloads leaking in. The noc, matmul and syncbench structs
-// below serve the same purpose for their kinds.
+// jacobiJSON is the jacobi JSON projection of Result (see projectRow);
+// the other kinds' structs below serve the same purpose.
 type jacobiJSON struct {
 	Scenario      string  `json:"scenario"`
 	Workload      string  `json:"workload"`
@@ -216,18 +215,9 @@ type jacobiJSON struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-func (jacobiWorkload) JSONRow(r Result) any {
-	return jacobiJSON{
-		Scenario: r.Scenario, Workload: r.Workload,
-		Cores: r.Cores, CacheKB: r.CacheKB, Policy: r.Policy, Variant: r.Variant,
-		CyclesPerIter: r.CyclesPerIter, MissRate: r.MissRate,
-		AreaMM2: r.AreaMM2, Speedup: r.Speedup,
-	}
-}
-
 // ---- matmul schema ----------------------------------------------------
 
-func (matmulWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
+func matmulTable(w *tabwriter.Writer, rows []Result) {
 	fmt.Fprintln(w, "variant\tcores\tcache\tpolicy\ttotal-cycles\txfer-cycles\tspeedup\tmpmmu-busy\tnoc-flits\t")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%dkB\t%s\t%d\t%d\t%.2f\t%d\t%d\t\n",
@@ -236,7 +226,7 @@ func (matmulWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
 	}
 }
 
-func (matmulWorkload) CSVInto(b *strings.Builder, rows []Result) {
+func matmulCSV(b *strings.Builder, rows []Result) {
 	b.WriteString("variant,cores,cache_kb,policy,total_cycles,transfer_cycles,speedup,mpmmu_busy,noc_flits\n")
 	for _, r := range rows {
 		fmt.Fprintf(b, "%s,%d,%d,%s,%d,%d,%.3f,%d,%d\n",
@@ -259,18 +249,9 @@ type matmulJSON struct {
 	NoCFlits       int64   `json:"noc_flits"`
 }
 
-func (matmulWorkload) JSONRow(r Result) any {
-	return matmulJSON{
-		Scenario: r.Scenario, Workload: r.Workload, Variant: r.Variant,
-		Cores: r.Cores, CacheKB: r.CacheKB, Policy: r.Policy,
-		TotalCycles: r.TotalCycles, TransferCycles: r.TransferCycles,
-		Speedup: r.Speedup, MPMMUBusy: r.MPMMUBusy, NoCFlits: r.NoCFlits,
-	}
-}
-
 // ---- syncbench schema -------------------------------------------------
 
-func (syncbenchWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
+func syncbenchTable(w *tabwriter.Writer, rows []Result) {
 	fmt.Fprintln(w, "variant\tcores\tcache\tpolicy\tcycles/round\tspeedup\tmpmmu-busy\tnoc-flits\t")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%d\t%dkB\t%s\t%d\t%.2f\t%d\t%d\t\n",
@@ -279,7 +260,7 @@ func (syncbenchWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
 	}
 }
 
-func (syncbenchWorkload) CSVInto(b *strings.Builder, rows []Result) {
+func syncbenchCSV(b *strings.Builder, rows []Result) {
 	b.WriteString("variant,cores,cache_kb,policy,cycles_per_round,speedup,mpmmu_busy,noc_flits\n")
 	for _, r := range rows {
 		fmt.Fprintf(b, "%s,%d,%d,%s,%d,%.3f,%d,%d\n",
@@ -301,18 +282,9 @@ type syncbenchJSON struct {
 	NoCFlits       int64   `json:"noc_flits"`
 }
 
-func (syncbenchWorkload) JSONRow(r Result) any {
-	return syncbenchJSON{
-		Scenario: r.Scenario, Workload: r.Workload, Variant: r.Variant,
-		Cores: r.Cores, CacheKB: r.CacheKB, Policy: r.Policy,
-		CyclesPerRound: r.CyclesPerRound, Speedup: r.Speedup,
-		MPMMUBusy: r.MPMMUBusy, NoCFlits: r.NoCFlits,
-	}
-}
-
 // ---- noc-synthetic schema ---------------------------------------------
 
-func (nocWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
+func nocTable(w *tabwriter.Writer, rows []Result) {
 	fmt.Fprintln(w, "topo\trouter\tpattern\trate\tseed\tcycles\tthroughput\tmean-lat\tp99-lat\tdefl/flit\tpeak-buf\tdelivered\t")
 	for _, r := range rows {
 		name := r.Pattern
@@ -325,7 +297,7 @@ func (nocWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
 	}
 }
 
-func (nocWorkload) CSVInto(b *strings.Builder, rows []Result) {
+func nocCSV(b *strings.Builder, rows []Result) {
 	b.WriteString("pattern,rate,seed,topology,router,bursty,cycles,delivered,throughput,mean_latency,p99_latency,deflection_rate,peak_buffer\n")
 	for _, r := range rows {
 		fmt.Fprintf(b, "%s,%g,%d,%s,%s,%t,%d,%d,%.6f,%.3f,%g,%.4f,%d\n",
@@ -352,30 +324,9 @@ type nocJSON struct {
 	PeakBuffer     int     `json:"peak_buffer"`
 }
 
-func (nocWorkload) JSONRow(r Result) any {
-	return nocJSON{
-		Scenario: r.Scenario, Workload: r.Workload,
-		Topology: r.Topology, Router: r.Router, Pattern: r.Pattern, Rate: r.Rate, Seed: r.Seed, Bursty: r.Bursty,
-		Cycles: r.Cycles, Delivered: r.Delivered, Throughput: r.Throughput,
-		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
-		DeflectionRate: r.DeflectionRate, PeakBuffer: r.PeakBuffer,
-	}
-}
-
-// ---- trace schema -------------------------------------------------------
-//
-// Replay rows come back labeled noc-synthetic (runTracePoint's contract:
-// a same-fabric replay renders byte-identically to its source run), so
-// these methods only serve hand-assembled rows that literally say
-// "trace"; they delegate to the noc schema those rows would have worn.
-
-func (traceWorkload) TableInto(w *tabwriter.Writer, rows []Result) { nocWorkload{}.TableInto(w, rows) }
-func (traceWorkload) CSVInto(b *strings.Builder, rows []Result)    { nocWorkload{}.CSVInto(b, rows) }
-func (traceWorkload) JSONRow(r Result) any                         { return nocWorkload{}.JSONRow(r) }
-
 // ---- service schema -----------------------------------------------------
 
-func (serviceWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
+func serviceTable(w *tabwriter.Writer, rows []Result) {
 	fmt.Fprintln(w, "topo\trouter\tservers\trate\tskew\tseed\tcycles\tissued\tdone\tmean-lat\tp99-lat\tqueue\tnet-out\tserver\tnet-back\tp99-srv\tpeak-buf\t")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%d\t%.3f\t%.2f\t%d\t%d\t%d\t%d\t%.1f\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%.0f\t%d\t\n",
@@ -385,7 +336,7 @@ func (serviceWorkload) TableInto(w *tabwriter.Writer, rows []Result) {
 	}
 }
 
-func (serviceWorkload) CSVInto(b *strings.Builder, rows []Result) {
+func serviceCSV(b *strings.Builder, rows []Result) {
 	b.WriteString("topology,router,servers,arrival_rate,hotspot_skew,seed,bursty,cycles,issued,completed,in_flight,throttled,throughput,mean_queue,mean_net_out,mean_server,mean_net_back,mean_latency,p99_latency,p99_server,peak_buffer\n")
 	for _, r := range rows {
 		fmt.Fprintf(b, "%s,%s,%d,%g,%g,%d,%t,%d,%d,%d,%d,%d,%.6f,%.3f,%.3f,%.3f,%.3f,%.3f,%g,%g,%d\n",
@@ -420,19 +371,4 @@ type serviceJSON struct {
 	P99Latency  float64 `json:"p99_latency"`
 	P99Server   float64 `json:"p99_server"`
 	PeakBuffer  int     `json:"peak_buffer"`
-}
-
-func (serviceWorkload) JSONRow(r Result) any {
-	return serviceJSON{
-		Scenario: r.Scenario, Workload: r.Workload,
-		Topology: r.Topology, Router: r.Router,
-		Servers: r.Servers, ArrivalRate: r.ArrivalRate, HotspotSkew: r.HotspotSkew,
-		Seed: r.Seed, Bursty: r.Bursty, Cycles: r.Cycles,
-		Issued: r.Issued, Completed: r.Completed, InFlight: r.InFlight, Throttled: r.Throttled,
-		Throughput: r.Throughput,
-		MeanQueue:  r.MeanQueue, MeanNetOut: r.MeanNetOut,
-		MeanServer: r.MeanServer, MeanNetBack: r.MeanNetBack,
-		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency, P99Server: r.P99Server,
-		PeakBuffer: r.PeakBuffer,
-	}
 }

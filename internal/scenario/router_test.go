@@ -15,7 +15,7 @@ func loadRouterAblation(t *testing.T) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestRouterAblationOrdering(t *testing.T) {
 
 // TestRouterAblationGolden proves the declarative path is exact for the
 // router axis, mirroring TestFig8QuickGolden: running router-ablation.json
-// must reproduce dse.RouterAblation(DefaultRouterAblationOptions())
+// must reproduce dse.RouterAblationCtx(ctx, DefaultRouterAblationOptions())
 // point-for-point, because both delegate to noc.Measure.
 func TestRouterAblationGolden(t *testing.T) {
 	results := loadRouterAblation(t)
 
 	o := dse.DefaultRouterAblationOptions()
-	points, err := dse.RouterAblation(o)
+	points, err := dse.RouterAblationCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/dse"
-	"repro/internal/noc"
 	"repro/internal/par"
 	"repro/internal/resultcache"
 )
@@ -98,20 +96,15 @@ type Result struct {
 	NoCFlits  int64 `json:"noc_flits,omitempty"`
 }
 
-// Run executes the scenario's full sweep cross-product and returns one
+// RunCtx executes the scenario's full sweep cross-product and returns one
 // Result per point, in deterministic axis order (independent of the
 // execution interleaving): one block per workload, each produced by its
-// registered Workload implementation. The scenario must have passed
-// Validate (Load and Parse guarantee this).
-func Run(s *Scenario) ([]Result, error) {
-	return RunCtx(context.Background(), s)
-}
-
-// RunCtx is Run with cooperative cancellation: a canceled context stops
-// dispatching new sweep points, interrupts in-flight simulations within a
-// few thousand simulated cycles, and returns the context's error (wrapped
-// in a par.CanceledError recording completed-point counts). The sweep is
-// all-or-nothing either way: on any error no results are returned.
+// kind's spec. The scenario must have passed Validate (Load and Parse
+// guarantee this). A canceled context stops dispatching new sweep points,
+// interrupts in-flight simulations within a few thousand simulated
+// cycles, and returns the context's error (wrapped in a par.CanceledError
+// recording completed-point counts). The sweep is all-or-nothing either
+// way: on any error no results are returned.
 func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 	kinds, err := s.workloadKinds()
 	if err != nil {
@@ -119,7 +112,7 @@ func RunCtx(ctx context.Context, s *Scenario) ([]Result, error) {
 	}
 	var all []Result
 	for _, k := range kinds {
-		results, err := ForKind(k).Run(ctx, s)
+		results, err := specs[k].run(ctx, s, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -153,102 +146,30 @@ func DSEPoints(results []Result) []dse.Point {
 	return points
 }
 
-// runNoCShard expands topologies x routers x patterns x rates x seeds and
-// executes each point on the shared fixed worker pool (par.ForEachCtx, as
-// dse.SweepCtx does): every point is an independent deterministic
-// simulation, so each slot of the result slice is written by exactly one
-// job and the whole set is reproducible. A non-nil points filter (strictly
-// increasing canonical-order indices) restricts the run to those points —
-// window groups still form over the canonical order, so only windows that
-// landed in this shard share a warmup prefix.
-func runNoCShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	c := s.NoC
-	topos := make([]noc.Topology, 0, len(c.topologyList()))
-	for _, tk := range c.topologyList() {
-		topo, err := noc.NewTopologyOfKind(tk, c.Width, c.Height)
-		if err != nil {
-			return nil, err
-		}
-		topos = append(topos, topo)
-	}
-	type job struct {
-		idx     int
-		topo    noc.Topology
-		router  noc.RouterKind
-		pattern noc.Pattern
-		rate    float64
-		seed    int64
-		// Window-sweep points: every window of one (topology, router,
-		// pattern, rate, seed) tuple shares a group, so the warmup prefix
-		// simulates once and each window forks off its warm snapshot.
-		window int
-		group  *windowGroup
-	}
-	patterns := make([]noc.Pattern, 0, len(c.Patterns))
-	for _, name := range c.Patterns {
-		p, err := noc.ParsePattern(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, topo := range topos {
-			if err := noc.ValidatePattern(p, topo); err != nil {
-				return nil, err
-			}
-		}
-		patterns = append(patterns, p)
-	}
-	var jobs []job
-	for _, topo := range topos {
-		for _, router := range c.routerList() {
-			for _, p := range patterns {
-				for _, rate := range c.Rates {
-					for _, seed := range s.seedList() {
-						if len(c.MeasureWindows) == 0 {
-							jobs = append(jobs, job{idx: len(jobs), topo: topo, router: router, pattern: p, rate: rate, seed: seed})
-							continue
-						}
-						g := &windowGroup{}
-						for wi := range c.MeasureWindows {
-							jobs = append(jobs, job{idx: len(jobs), topo: topo, router: router, pattern: p, rate: rate, seed: seed, window: wi, group: g})
-						}
-					}
-				}
-			}
-		}
-	}
+// runPoints executes jobs — one kind's full canonical point order — on
+// the shared fixed worker pool (par.ForEachCtx, as dse.SweepCtx does),
+// restricted to the listed indices when points is non-nil. Every point is
+// an independent deterministic simulation, so each result slot is written
+// by exactly one job and the whole set is reproducible.
+func runPoints[J any](ctx context.Context, s *Scenario, jobs []J, points []int, run func(J) (Result, error)) ([]Result, error) {
 	if points != nil {
-		sel := make([]job, len(points))
+		sel := make([]J, len(points))
 		for i, p := range points {
 			if p < 0 || p >= len(jobs) {
-				return nil, fmt.Errorf("scenario: point filter index %d outside the %d-point noc sweep", p, len(jobs))
+				return nil, fmt.Errorf("scenario: point filter index %d outside the %d-point sweep", p, len(jobs))
 			}
 			sel[i] = jobs[p]
-			sel[i].idx = i
 		}
 		jobs = sel
 	}
-	// Recording bypasses the cache: a hit would skip the simulation and
-	// record nothing (RecordCtx also detaches the cache, this is the
-	// defence in depth for hand-wired scenarios).
-	rcache := s.Cache
-	if s.Record != nil {
-		rcache = nil
-	}
 	results := make([]Result, len(jobs))
 	if err := par.ForEachCtx(ctx, len(jobs), s.Parallelism, func(i int) error {
-		j := jobs[i]
-		var r Result
-		var err error
-		if j.group == nil {
-			r, err = runNoCPoint(ctx, rcache, s.Record, j.topo, c, j.router, j.pattern, j.rate, j.seed)
-		} else {
-			r, err = runNoCWindowPoint(ctx, rcache, j.topo, c, j.router, j.pattern, j.rate, j.seed, j.window, j.group)
-		}
+		r, err := run(jobs[i])
 		if err != nil {
 			return err
 		}
 		r.Scenario = s.Name
-		results[j.idx] = r
+		results[i] = r
 		return nil
 	}); err != nil {
 		return nil, err
@@ -256,168 +177,24 @@ func runNoCShard(ctx context.Context, s *Scenario, points []int) ([]Result, erro
 	return results, nil
 }
 
-// windowGroup computes one warm-prefix group of a measure_windows sweep
-// exactly once: however many of its windows miss the result cache, the
-// first to need data runs noc.MeasureWindowsCtx for the whole group and
-// the rest share the measurements. A fully cache-served group never
-// simulates at all.
-type windowGroup struct {
-	once sync.Once
-	ms   []noc.Measurement
-	err  error
-}
-
-func (g *windowGroup) measurements(ctx context.Context, topo noc.Topology, mc noc.MeasureConfig, windows []int64) ([]noc.Measurement, error) {
-	g.once.Do(func() {
-		g.ms, g.err = noc.MeasureWindowsCtx(ctx, topo, mc, windows, WindowFork())
-	})
-	return g.ms, g.err
-}
-
-// nocPointValue is the cached measurement of one noc-synthetic point: the
-// raw noc.Measure metrics only; axis labels reattach from the job.
-type nocPointValue struct {
-	Cycles         int64   `json:"cycles"`
-	Delivered      int64   `json:"delivered"`
-	Throughput     float64 `json:"throughput"`
-	MeanLatency    float64 `json:"mean_latency"`
-	P99Latency     float64 `json:"p99_latency"`
-	DeflectionRate float64 `json:"deflection_rate"`
-	PeakBuffer     int     `json:"peak_buffer"`
-}
-
-// nocPointKey derives the content address of one noc-synthetic point from
-// every input the measurement depends on (the defaults are resolved first,
-// so an explicit "measure_cycles": 5000 keys identically to the default).
-func nocPointKey(topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed, measure int64) resultcache.Key {
-	b := resultcache.NewKey("scenario/noc").
-		Str("topology", topo.Kind().String()).
-		Int("width", int64(c.Width)).
-		Int("height", int64(c.Height)).
-		Str("router", router.String()).
-		Str("pattern", pattern.String()).
-		Float("rate", rate).
-		Int("seed", seed).
-		Int("hotspot_node", int64(c.HotspotNode)).
-		Int("queue_cap", int64(c.QueueCap)).
-		Int("warmup_cycles", c.WarmupCycles).
-		Int("measure_cycles", measure)
-	if c.Burst != nil {
-		b.Float("burst_mean_on", c.Burst.MeanOn).Float("burst_mean_off", c.Burst.MeanOff)
-	}
-	return b.Sum()
-}
-
-// nocMeasureConfig assembles the noc.MeasureConfig for one point.
-// Measure is left to the caller (a fixed window, or unset for a
-// measure_windows group).
-func nocMeasureConfig(c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed, measure int64) noc.MeasureConfig {
-	var burst *noc.BurstConfig
-	if c.Burst != nil {
-		burst = &noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}
-	}
-	return noc.MeasureConfig{
-		Router: router,
-		Traffic: noc.TrafficConfig{
-			Pattern:     pattern,
-			Rate:        rate,
-			HotspotNode: c.HotspotNode,
-			QueueCap:    c.QueueCap,
-			Burst:       burst,
-		},
-		Warmup:  c.WarmupCycles,
-		Measure: measure,
-		Seed:    seed,
-	}
-}
-
-// nocValueOf projects a Measurement onto the cached codec. CyclesSkipped
-// is deliberately dropped: it counts simulation work, not simulated
-// behaviour, so cached and fresh points stay byte-identical.
-func nocValueOf(m noc.Measurement) nocPointValue {
-	return nocPointValue{
-		Cycles:         m.Cycles,
-		Delivered:      m.Delivered,
-		Throughput:     m.Throughput,
-		MeanLatency:    m.MeanLatency,
-		P99Latency:     m.P99Latency,
-		DeflectionRate: m.DeflectionRate,
-		PeakBuffer:     m.PeakBuffer,
-	}
-}
-
-// nocResult reattaches the axis labels to a cached point value.
-func nocResult(topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed int64, m nocPointValue) Result {
-	return Result{
-		Workload:       WorkloadNoC.String(),
-		Topology:       topo.Kind().String(),
-		Router:         router.String(),
-		Pattern:        pattern.String(),
-		Rate:           rate,
-		Seed:           seed,
-		Bursty:         c.Burst != nil,
-		Cycles:         m.Cycles,
-		Delivered:      m.Delivered,
-		Throughput:     m.Throughput,
-		MeanLatency:    m.MeanLatency,
-		P99Latency:     m.P99Latency,
-		DeflectionRate: m.DeflectionRate,
-		PeakBuffer:     m.PeakBuffer,
-	}
-}
-
-// runNoCPoint simulates one (topology, router, pattern, rate, seed) point
-// through noc.MeasureCtx, the execution path shared with
-// dse.RouterAblation, dse.TopologyAblation and cmd/medea-noc, recalling it
-// from the result cache when one is attached.
-func runNoCPoint(ctx context.Context, rc *resultcache.Cache, rec noc.InjectionRecorder, topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed int64) (Result, error) {
-	measure := c.MeasureCycles
-	if measure == 0 {
-		measure = 5000
-	}
-	key := nocPointKey(topo, c, router, pattern, rate, seed, measure)
+// cachedPoint fills r's metrics with one point's value V, recalled from
+// the result cache (rc nil means cache off) or computed and stored on a
+// miss. V's JSON keys are the Result keys of the metrics it carries, so
+// the value decodes straight onto the row; hit or miss it comes back
+// through that encoding, so cached and fresh points are byte-identical.
+func cachedPoint[V any](rc *resultcache.Cache, key resultcache.Key, what string, r *Result, compute func() (V, error)) error {
 	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
-		mc := nocMeasureConfig(c, router, pattern, rate, seed, measure)
-		mc.Traffic.Record = rec
-		m, err := noc.MeasureCtx(ctx, topo, mc)
+		v, err := compute()
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(nocValueOf(m))
+		return json.Marshal(v)
 	})
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	var m nocPointValue
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Result{}, fmt.Errorf("scenario: decoding cached noc point %s: %w", key, err)
+	if err := json.Unmarshal(buf, r); err != nil {
+		return fmt.Errorf("scenario: decoding cached %s point %s: %w", what, key, err)
 	}
-	return nocResult(topo, c, router, pattern, rate, seed, m), nil
-}
-
-// runNoCWindowPoint resolves one window of a measure_windows sweep. Its
-// cache key is exactly the key a plain measure_cycles point with this
-// window length would use — warm-snapshot forking is byte-identical to
-// independent simulation (noc.MeasureWindowsCtx's contract, enforced by
-// the differential tests), so the two entry kinds interchange in the
-// store. On a miss, the whole group simulates once through the shared
-// windowGroup and this point takes its window's measurement.
-func runNoCWindowPoint(ctx context.Context, rc *resultcache.Cache, topo noc.Topology, c *NoCConfig, router noc.RouterKind, pattern noc.Pattern, rate float64, seed int64, wi int, g *windowGroup) (Result, error) {
-	windows := c.MeasureWindows
-	key := nocPointKey(topo, c, router, pattern, rate, seed, windows[wi])
-	buf, _, err := rc.GetOrCompute(key, func() ([]byte, error) {
-		ms, err := g.measurements(ctx, topo, nocMeasureConfig(c, router, pattern, rate, seed, 0), windows)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(nocValueOf(ms[wi]))
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	var m nocPointValue
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return Result{}, fmt.Errorf("scenario: decoding cached noc point %s: %w", key, err)
-	}
-	return nocResult(topo, c, router, pattern, rate, seed, m), nil
+	return nil
 }

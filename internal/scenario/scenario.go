@@ -1,36 +1,38 @@
 // Package scenario provides a declarative JSON experiment format and a
-// parallel batch runner for the MEDEA simulator, built around four
-// pluggable sweep axes:
+// parallel batch runner for the MEDEA simulator.
 //
-//   - workload — what each point simulates (WorkloadKind): the jacobi,
-//     matmul and syncbench compute kernels on the full MEDEA system, or
-//     synthetic traffic on the bare network (noc-synthetic);
-//   - variant — the paper's core comparison for kernel workloads:
-//     message passing (hybrid-full), shared-memory data with message
-//     synchronization (hybrid-sync), or pure shared memory (pure-sm);
-//   - topology and router — the network fabrics and switching algorithms
-//     for the noc-synthetic workload (noc.TopologyKind, noc.RouterKind),
-//     alongside the 9-entry traffic-pattern axis.
+// A scenario file names its workload (or, for the compute kernels, a
+// "workloads" list), the one JSON section that kind owns and its sweep
+// axes; Run executes the cross-product of the axes on a worker pool and
+// returns one Result per point, renderable as a table, CSV or JSON. The
+// six workload kinds are:
 //
-// A scenario file names its workloads and sweep axes (variants, cores,
-// cache sizes and write policies for kernels; topologies, routers,
-// patterns, rates and seeds for the bare network) plus the measurement
-// windows; Run executes the cross-product of the axes on a worker pool
-// and returns one Result per point, renderable as a table, CSV or JSON
-// through each workload's registered schema.
+//   - jacobi, matmul and syncbench — compute kernels on the full MEDEA
+//     system ("kernel" section): variants x policies x caches x cores,
+//     executed through dse.KernelSweepCtx, the path shared with the
+//     hand-coded figure experiments;
+//   - noc-synthetic — generated traffic on the bare network ("noc"):
+//     topologies x routers x patterns x rates x seeds (x measure
+//     windows), executed through noc.MeasureCtx;
+//   - trace — a recorded trace replayed through topologies x routers
+//     ("trace"), executed through noc.MeasureReplayCtx;
+//   - service — request/response traffic ("service"): topologies x
+//     routers x arrival rates x seeds, executed through
+//     noc.MeasureServiceCtx.
 //
-// Every axis is resolved by name through the same registry idiom
-// (ParseWorkload here; noc.ParsePattern, noc.ParseRouter and
-// noc.ParseTopology for the network axes), so the format exists without
-// new Go code: any configuration the cmd/ binaries can reach by flags —
-// and sweeps over cross-products of them that the binaries cannot
-// express — is one JSON file away. Kernel points execute through
-// dse.KernelSweep and noc points through noc.Measure, the paths shared
-// with the hand-coded experiments, which is what makes the golden tests
-// (fig8-quick, router-ablation, topology-ablation, kernel-ablation)
-// byte- and point-exact. See examples/scenarios/ for ready-to-run files,
-// REPRODUCING.md for the figure/table map, and cmd/medea-scenarios for
-// the CLI driver.
+// Everything the package knows about a kind lives in one entry of the
+// spec table in workload.go: its name, the section it owns and how that
+// section is validated, its ordered sweep axes (from which NumPoints and
+// Summary both derive), its runner, its recorder and its row schema.
+// Validation, running, sharding, recording and rendering all read that
+// table, so a new kind is a constant plus one table entry. Every name is
+// resolved through a registry (ParseWorkload here; noc.ParsePattern,
+// noc.ParseRouter and noc.ParseTopology for the network axes), and the
+// golden tests (fig8-quick, router-ablation, topology-ablation,
+// kernel-ablation) hold the declarative path byte- and point-exact
+// against the hand-coded experiments. See examples/scenarios/ for
+// ready-to-run files, REPRODUCING.md for the figure/table map, and
+// cmd/medea-scenarios for the CLI driver.
 package scenario
 
 import (
@@ -38,14 +40,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
-	"repro/internal/cache"
-	"repro/internal/dse"
-	"repro/internal/jacobi"
 	"repro/internal/noc"
 	"repro/internal/resultcache"
-	"repro/internal/trace"
 )
 
 // Output format names for Scenario.Output and the CLI -format flag.
@@ -63,13 +62,14 @@ type Scenario struct {
 	// Description is free-form documentation.
 	Description string `json:"description,omitempty"`
 	// Workload selects what each point simulates (see WorkloadNames):
-	// "jacobi", "matmul", "syncbench" or "noc-synthetic". Mutually
-	// exclusive with Workloads.
+	// "jacobi", "matmul" and "syncbench" (compute kernels),
+	// "noc-synthetic", "trace" or "service". Mutually exclusive with
+	// Workloads.
 	Workload string `json:"workload,omitempty"`
 	// Workloads sweeps the workload axis itself: a list of kernel
 	// workloads (jacobi, matmul, syncbench) that all run the same kernel
-	// sweep, one block per workload. The bare-network noc-synthetic
-	// workload has disjoint axes and cannot be mixed in.
+	// sweep, one block per workload. The bare-network workloads have
+	// disjoint axes and cannot be mixed in.
 	Workloads []string `json:"workloads,omitempty"`
 
 	// NoC configures the noc-synthetic workload (required for it).
@@ -122,48 +122,45 @@ type Scenario struct {
 	Record noc.InjectionRecorder `json:"-"`
 }
 
-// NoCConfig describes a synthetic-traffic experiment on the bare network.
-type NoCConfig struct {
+// fabric is the network part the noc-synthetic and service sections
+// share. It is embedded, so its keys sit flat inside "noc" and "service".
+type fabric struct {
 	// Width and Height size the endpoint grid (both >= 2; the torus and
 	// mesh put one switch under every endpoint, the cmesh needs both even
 	// and >= 4 and folds each 2x2 endpoint tile onto one switch).
 	Width  int `json:"width"`
 	Height int `json:"height"`
 	// Topologies lists fabrics by name (see noc.TopologyNames); one sweep
-	// axis. Empty means the paper's folded torus only. Every listed
-	// pattern must be valid on every listed topology (validation is
-	// per-topology: bit patterns need a power-of-two endpoint count,
-	// transpose a square endpoint grid).
+	// axis. Empty means the paper's folded torus only.
 	Topologies []string `json:"topologies,omitempty"`
-	// Patterns lists traffic patterns by name (see noc.PatternNames);
-	// one sweep axis.
-	Patterns []string `json:"patterns"`
 	// Routers lists router algorithms by name (see noc.RouterNames); one
 	// sweep axis. Empty means the paper's deflection router only.
 	Routers []string `json:"routers,omitempty"`
-	// Rates lists offered loads in flits/node/cycle, each in (0, 1];
-	// one sweep axis.
-	Rates []float64 `json:"rates"`
-	// HotspotNode is the destination for the hotspot pattern.
-	HotspotNode int `json:"hotspot_node,omitempty"`
-	// QueueCap bounds each source queue (default 16).
-	QueueCap int `json:"queue_cap,omitempty"`
-	// Burst, when present, gates every source through a two-state on/off
-	// modulator with the given mean burst/gap lengths in cycles.
-	Burst *BurstConfig `json:"burst,omitempty"`
-	// WarmupCycles run before measurement starts (default 0).
-	WarmupCycles int64 `json:"warmup_cycles,omitempty"`
-	// MeasureCycles is the measurement window (default 5000). Mutually
-	// exclusive with MeasureWindows.
-	MeasureCycles int64 `json:"measure_cycles,omitempty"`
-	// MeasureWindows sweeps the measurement-window length itself: every
-	// point runs once per listed window, and all windows of one
-	// (topology, router, pattern, rate, seed) point share a single warmup
-	// prefix via an engine snapshot instead of re-simulating it (see
-	// noc.MeasureWindowsCtx; disable with SetWindowFork or the CLI's
-	// -no-fork). Results are byte-identical to independent runs either
-	// way. Mutually exclusive with MeasureCycles.
-	MeasureWindows []int64 `json:"measure_windows,omitempty"`
+}
+
+// build resolves the fabric axes of section sec (for error messages),
+// building every listed topology at the grid size.
+func (f *fabric) build(sec string) ([]noc.Topology, []noc.RouterKind, error) {
+	kinds, err := parseAxis(sec+".topologies", f.Topologies, noc.ParseTopology, noc.TopoTorus)
+	if err != nil {
+		return nil, nil, err
+	}
+	topos := make([]noc.Topology, len(kinds))
+	for i, k := range kinds {
+		if topos[i], err = noc.NewTopologyOfKind(k, f.Width, f.Height); err != nil {
+			return nil, nil, fmt.Errorf("%q: %w", sec, err)
+		}
+	}
+	routers, err := parseAxis(sec+".routers", f.Routers, noc.ParseRouter, noc.RouterDeflection)
+	if err != nil {
+		return nil, nil, err
+	}
+	return topos, routers, nil
+}
+
+// axes returns the fabric's topology x router axes.
+func (f *fabric) axes() []axis {
+	return []axis{{max(1, len(f.Topologies)), "topologies"}, {max(1, len(f.Routers)), "routers"}}
 }
 
 // BurstConfig mirrors noc.BurstConfig in the JSON schema.
@@ -172,305 +169,33 @@ type BurstConfig struct {
 	MeanOff float64 `json:"mean_off"`
 }
 
-// TraceConfig describes a trace-replay experiment: a recorded trace file
-// (see internal/trace) pushed through the replay sweep axes. The trace
-// itself fixes everything else — the endpoint grid, the event schedule
-// and the measurement horizon — so the replay axes are topology and
-// router only; patterns, rates, seeds and measurement windows have no
-// meaning here and validation rejects them.
-type TraceConfig struct {
-	// File is the trace to replay. Load resolves a relative path against
-	// the scenario file's directory (Parse, with no file, leaves it
-	// relative to the process working directory).
-	File string `json:"file"`
-	// Topologies lists replay fabrics by name (see noc.TopologyNames);
-	// one sweep axis. Empty means the fabric the trace was recorded on.
-	Topologies []string `json:"topologies,omitempty"`
-	// Routers lists replay routers by name (see noc.RouterNames); one
-	// sweep axis. Empty means the router the trace was recorded under.
-	Routers []string `json:"routers,omitempty"`
-
-	// tr memoizes the decoded trace (validate loads it; runs reuse it).
-	tr *trace.Trace
+// noc converts the section to the simulator's form (nil stays nil).
+func (b *BurstConfig) noc() *noc.BurstConfig {
+	if b == nil {
+		return nil
+	}
+	return &noc.BurstConfig{MeanOn: b.MeanOn, MeanOff: b.MeanOff}
 }
 
-// load returns the decoded trace, reading File on first use.
-func (c *TraceConfig) load() (*trace.Trace, error) {
-	if c.tr == nil {
-		t, err := trace.Load(c.File)
-		if err != nil {
-			return nil, err
-		}
-		c.tr = t
-	}
-	return c.tr, nil
-}
-
-func (c *TraceConfig) validate() error {
-	if c.File == "" {
-		return fmt.Errorf(`"trace.file" must name a recorded trace (record one with medea-scenarios -record or medea-noc -record)`)
-	}
-	t, err := c.load()
-	if err != nil {
-		return fmt.Errorf(`"trace.file": %w`, err)
-	}
-	seenT := map[noc.TopologyKind]bool{}
-	for _, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			return fmt.Errorf(`"trace.topologies": %w`, err)
-		}
-		if seenT[k] {
-			return fmt.Errorf(`"trace.topologies": %v listed twice`, k)
-		}
-		seenT[k] = true
-		if _, err := noc.NewTopologyOfKind(k, t.Header.Width, t.Header.Height); err != nil {
-			return fmt.Errorf(`"trace.topologies": the trace's %dx%d grid: %w`, t.Header.Width, t.Header.Height, err)
-		}
-	}
-	seenR := map[noc.RouterKind]bool{}
-	for _, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			return fmt.Errorf(`"trace.routers": %w`, err)
-		}
-		if seenR[k] {
-			return fmt.Errorf(`"trace.routers": %v listed twice`, k)
-		}
-		seenR[k] = true
-	}
-	// The default axes come from the recorded provenance; they must
-	// resolve too (a trace hand-built with an exotic header fails here,
-	// not mid-run).
-	if len(c.Topologies) == 0 {
-		k, err := noc.ParseTopology(t.Header.Topology)
-		if err != nil {
-			return fmt.Errorf(`"trace.file": recorded topology: %w`, err)
-		}
-		if _, err := noc.NewTopologyOfKind(k, t.Header.Width, t.Header.Height); err != nil {
-			return fmt.Errorf(`"trace.file": recorded fabric: %w`, err)
-		}
-	}
-	if len(c.Routers) == 0 {
-		if _, err := noc.ParseRouter(t.Header.Router); err != nil {
-			return fmt.Errorf(`"trace.file": recorded router: %w`, err)
-		}
-	}
-	return nil
-}
-
-// topologyList resolves the replay-topology axis (default: the recorded
-// fabric). The scenario must have passed Validate.
-func (c *TraceConfig) topologyList(t *trace.Trace) []noc.TopologyKind {
-	names := c.Topologies
+// parseAxis resolves one named sweep axis: every name through parse, no
+// value listed twice, and def when the list is empty. Errors are prefixed
+// with the axis's JSON path.
+func parseAxis[T comparable](field string, names []string, parse func(string) (T, error), def ...T) ([]T, error) {
 	if len(names) == 0 {
-		names = []string{t.Header.Topology}
+		return def, nil
 	}
-	kinds := make([]noc.TopologyKind, len(names))
-	for i, name := range names {
-		k, err := noc.ParseTopology(name)
+	out := make([]T, 0, len(names))
+	for _, name := range names {
+		v, err := parse(name)
 		if err != nil {
-			panic(fmt.Sprintf("scenario: validated replay topology failed to parse: %v", err))
+			return nil, fmt.Errorf("%q: %w", field, err)
 		}
-		kinds[i] = k
-	}
-	return kinds
-}
-
-// routerList resolves the replay-router axis (default: the recorded
-// router). The scenario must have passed Validate.
-func (c *TraceConfig) routerList(t *trace.Trace) []noc.RouterKind {
-	names := c.Routers
-	if len(names) == 0 {
-		names = []string{t.Header.Router}
-	}
-	kinds := make([]noc.RouterKind, len(names))
-	for i, name := range names {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated replay router failed to parse: %v", err))
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("%q: %v listed twice", field, v)
 		}
-		kinds[i] = k
+		out = append(out, v)
 	}
-	return kinds
-}
-
-// ServiceConfig describes a request/response service experiment on the
-// bare network: the last Servers endpoints answer requests issued
-// open-loop by every other endpoint.
-type ServiceConfig struct {
-	// Width and Height size the endpoint grid (as NoCConfig).
-	Width  int `json:"width"`
-	Height int `json:"height"`
-	// Topologies lists fabrics by name; one sweep axis (default torus).
-	Topologies []string `json:"topologies,omitempty"`
-	// Routers lists router algorithms by name; one sweep axis (default
-	// deflection).
-	Routers []string `json:"routers,omitempty"`
-	// Servers is how many endpoints (the highest-numbered ones) serve
-	// requests; must leave at least one client.
-	Servers int `json:"servers"`
-	// ArrivalRates lists per-client request probabilities per cycle, each
-	// in (0, 1]; one sweep axis.
-	ArrivalRates []float64 `json:"arrival_rates"`
-	// ThinkTime is the server-side service time per request in cycles
-	// (0 and 1 are equivalent; see noc.ServiceMeasureConfig).
-	ThinkTime int64 `json:"think_time,omitempty"`
-	// ResponseFlits is the response size in flits (default 1).
-	ResponseFlits int `json:"response_flits,omitempty"`
-	// HotspotSkew is the probability a request targets the first server
-	// instead of a uniformly random one (0 = uniform).
-	HotspotSkew float64 `json:"hotspot_skew,omitempty"`
-	// QueueCap bounds each client's source queue (default 16).
-	QueueCap int `json:"queue_cap,omitempty"`
-	// Burst, when present, gates client arrivals through the two-state
-	// modulator.
-	Burst *BurstConfig `json:"burst,omitempty"`
-	// WarmupCycles run before measurement starts (default 0).
-	WarmupCycles int64 `json:"warmup_cycles,omitempty"`
-	// MeasureCycles is the measurement window (default 5000).
-	MeasureCycles int64 `json:"measure_cycles,omitempty"`
-}
-
-func (c *ServiceConfig) validate() error {
-	seenT := map[noc.TopologyKind]bool{}
-	topos := make([]noc.Topology, 0, len(c.Topologies)+1)
-	for _, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			return fmt.Errorf(`"service.topologies": %w`, err)
-		}
-		if seenT[k] {
-			return fmt.Errorf(`"service.topologies": %v listed twice`, k)
-		}
-		seenT[k] = true
-		topo, err := noc.NewTopologyOfKind(k, c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"service": %w`, err)
-		}
-		topos = append(topos, topo)
-	}
-	if len(topos) == 0 {
-		topo, err := noc.NewTopology(c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"service": %w`, err)
-		}
-		topos = append(topos, topo)
-	}
-	seenR := map[noc.RouterKind]bool{}
-	for _, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			return fmt.Errorf(`"service.routers": %w`, err)
-		}
-		if seenR[k] {
-			return fmt.Errorf(`"service.routers": %v listed twice`, k)
-		}
-		seenR[k] = true
-	}
-	if c.Servers < 1 {
-		return fmt.Errorf(`"service.servers" must be >= 1, got %d`, c.Servers)
-	}
-	endpoints := topos[0].NumEndpoints()
-	if c.Servers >= endpoints {
-		return fmt.Errorf(`"service.servers": %d servers on the %dx%d grid's %d endpoints must leave at least one client; use at most %d servers`,
-			c.Servers, c.Width, c.Height, endpoints, endpoints-1)
-	}
-	if len(c.ArrivalRates) == 0 {
-		return fmt.Errorf(`"service.arrival_rates" must list at least one per-client rate in (0, 1]`)
-	}
-	for _, r := range c.ArrivalRates {
-		if r <= 0 || r > 1 {
-			return fmt.Errorf(`"service.arrival_rates": rate %g outside (0, 1]`, r)
-		}
-	}
-	if c.ThinkTime < 0 {
-		return fmt.Errorf(`"service.think_time" must be >= 0, got %d`, c.ThinkTime)
-	}
-	if c.ResponseFlits < 0 {
-		return fmt.Errorf(`"service.response_flits" must be >= 0, got %d`, c.ResponseFlits)
-	}
-	if c.HotspotSkew < 0 || c.HotspotSkew > 1 {
-		return fmt.Errorf(`"service.hotspot_skew" must be in [0, 1], got %g`, c.HotspotSkew)
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf(`"service.queue_cap" must be >= 0, got %d`, c.QueueCap)
-	}
-	if c.Burst != nil {
-		if err := (noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}).Validate(); err != nil {
-			return fmt.Errorf(`"service.burst": %w`, err)
-		}
-	}
-	if c.WarmupCycles < 0 {
-		return fmt.Errorf(`"service.warmup_cycles" must be >= 0, got %d`, c.WarmupCycles)
-	}
-	if c.MeasureCycles < 0 {
-		return fmt.Errorf(`"service.measure_cycles" must be >= 0, got %d`, c.MeasureCycles)
-	}
-	return nil
-}
-
-// topologyList and routerList mirror NoCConfig's axis resolution.
-func (c *ServiceConfig) topologyList() []noc.TopologyKind {
-	if len(c.Topologies) == 0 {
-		return []noc.TopologyKind{noc.TopoTorus}
-	}
-	kinds := make([]noc.TopologyKind, len(c.Topologies))
-	for i, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated topology failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
-}
-
-func (c *ServiceConfig) routerList() []noc.RouterKind {
-	if len(c.Routers) == 0 {
-		return []noc.RouterKind{noc.RouterDeflection}
-	}
-	kinds := make([]noc.RouterKind, len(c.Routers))
-	for i, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated router failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
-}
-
-// KernelConfig describes a design-space sweep of the kernel workloads
-// (jacobi, matmul, syncbench) on the full MEDEA system. The axes are
-// shared: one section drives every kernel listed in "workloads".
-type KernelConfig struct {
-	// N is the problem size: the grid edge for jacobi (the paper uses 16,
-	// 30 and 60), the matrix edge for matmul (2..64). A syncbench-only
-	// scenario has no problem size.
-	N int `json:"n"`
-	// Variant selects one programming model: "hybrid-full" (default),
-	// "hybrid-sync" or "pure-sm". Mutually exclusive with Variants.
-	Variant string `json:"variant,omitempty"`
-	// Variants sweeps the programming-model axis (the paper's core
-	// message-passing vs shared-memory comparison). Syncbench measures
-	// the barrier itself, so it supports hybrid-full (message barrier)
-	// and pure-sm (lock barrier) but not hybrid-sync.
-	Variants []string `json:"variants,omitempty"`
-	// Cores lists compute-core counts; one sweep axis.
-	Cores []int `json:"cores"`
-	// CacheKB lists L1 sizes in kB; one sweep axis.
-	CacheKB []int `json:"cache_kb"`
-	// Policies lists write policies ("write-back"/"wb",
-	// "write-through"/"wt"); one sweep axis. Defaults to write-back.
-	Policies []string `json:"policies,omitempty"`
-	// Rounds is the number of synchronization episodes syncbench averages
-	// over (default 20); only meaningful when syncbench is swept.
-	Rounds int `json:"rounds,omitempty"`
-	// Warmup and Measured are Jacobi iteration counts (default 1 each);
-	// only meaningful when jacobi is swept.
-	Warmup   int `json:"warmup,omitempty"`
-	Measured int `json:"measured,omitempty"`
+	return out, nil
 }
 
 // Load reads, parses and validates a scenario file. An empty Name is
@@ -546,22 +271,15 @@ func (s *Scenario) workloadKinds() ([]WorkloadKind, error) {
 		return nil, fmt.Errorf(`missing "workload": set one of %s (or a "workloads" list of kernel workloads)`,
 			strings.Join(WorkloadNames(), ", "))
 	}
-	seen := map[WorkloadKind]bool{}
-	kinds := make([]WorkloadKind, 0, len(s.Workloads))
-	for _, name := range s.Workloads {
-		k, err := ParseWorkload(name)
-		if err != nil {
-			return nil, fmt.Errorf(`"workloads": %w`, err)
-		}
+	kinds, err := parseAxis("workloads", s.Workloads, ParseWorkload)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range kinds {
 		if !k.IsKernel() {
 			return nil, fmt.Errorf(`"workloads" sweeps the kernel workloads (%s); run %v through "workload"`,
 				strings.Join(kernelWorkloadNames(), ", "), k)
 		}
-		if seen[k] {
-			return nil, fmt.Errorf(`"workloads": %v listed twice`, k)
-		}
-		seen[k] = true
-		kinds = append(kinds, k)
 	}
 	return kinds, nil
 }
@@ -575,16 +293,6 @@ func kernelWorkloadNames() []string {
 		}
 	}
 	return names
-}
-
-// kernelConfig returns the scenario's kernel section (the canonical
-// Kernel field or its Jacobi alias); nil when neither is set. Validate
-// rejects setting both.
-func (s *Scenario) kernelConfig() *KernelConfig {
-	if s.Kernel != nil {
-		return s.Kernel
-	}
-	return s.Jacobi
 }
 
 // Validate checks the scenario for consistency and fills no defaults (the
@@ -615,331 +323,25 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
-
-	switch kinds[0] {
-	case WorkloadNoC:
-		if s.kernelConfig() != nil {
-			return fmt.Errorf(`the "kernel"/"jacobi" section has no effect on workload %v; remove it`, WorkloadNoC)
+	spec := &specs[kinds[0]]
+	for sec := range numSections {
+		if sec == spec.section || !sections[sec].set(s) {
+			continue
 		}
-		if err := s.rejectSections(WorkloadNoC, s.Trace != nil, s.Service != nil); err != nil {
-			return err
-		}
-		if s.NoC == nil {
-			return fmt.Errorf(`workload %v needs a "noc" section`, WorkloadNoC)
-		}
-		return s.NoC.validate()
-
-	case WorkloadTrace:
-		// The trace fixes the traffic and the horizon, so none of the
-		// noc-synthetic axes can apply; naming the common offenders keeps
-		// the error actionable.
-		if s.NoC != nil {
-			if len(s.NoC.MeasureWindows) > 0 {
-				return fmt.Errorf(`"noc.measure_windows" cannot apply to the trace workload: a replay's horizon is fixed by the recording; remove the "noc" section`)
+		if spec.misuse != nil {
+			if err := spec.misuse(s, sec); err != nil {
+				return err
 			}
-			if len(s.NoC.Patterns) > 0 || len(s.NoC.Rates) > 0 {
-				return fmt.Errorf(`the trace workload replays recorded traffic: the "noc" patterns/rates axes cannot apply; remove the "noc" section (replay axes live under "trace")`)
-			}
-			return fmt.Errorf(`the "noc" section has no effect on the trace workload; remove it (replay axes live under "trace")`)
 		}
-		if s.kernelConfig() != nil {
-			return fmt.Errorf(`the "kernel"/"jacobi" section has no effect on the trace workload; remove it`)
-		}
-		if s.Service != nil {
-			return fmt.Errorf(`the "service" section has no effect on the trace workload; remove it`)
-		}
-		if len(s.Seeds) > 0 || s.Replications > 1 || s.BaseSeed != 0 {
-			return fmt.Errorf(`a trace replay is fully deterministic (the recording fixed the traffic): seeds/replications/base_seed have no effect; remove them`)
-		}
-		if s.Trace == nil {
-			return fmt.Errorf(`workload %v needs a "trace" section`, WorkloadTrace)
-		}
-		return s.Trace.validate()
-
-	case WorkloadService:
-		if err := s.rejectSections(WorkloadService, s.Trace != nil, false); err != nil {
-			return err
-		}
-		if s.NoC != nil {
-			return fmt.Errorf(`the "noc" section has no effect on workload %v; remove it (the sweep axes live under "service")`, WorkloadService)
-		}
-		if s.kernelConfig() != nil {
-			return fmt.Errorf(`the "kernel"/"jacobi" section has no effect on workload %v; remove it`, WorkloadService)
-		}
-		if s.Service == nil {
-			return fmt.Errorf(`workload %v needs a "service" section`, WorkloadService)
-		}
-		return s.Service.validate()
+		return fmt.Errorf(`the %s section has no effect on %s; remove it`, sections[sec].name, spec.subject)
 	}
-
-	// Kernel workloads.
-	if s.NoC != nil {
-		return fmt.Errorf(`the "noc" section has no effect on kernel workloads; remove it`)
-	}
-	if s.Trace != nil {
-		return fmt.Errorf(`the "trace" section has no effect on kernel workloads; remove it`)
-	}
-	if s.Service != nil {
-		return fmt.Errorf(`the "service" section has no effect on kernel workloads; remove it`)
-	}
-	if s.Kernel != nil && s.Jacobi != nil {
-		return fmt.Errorf(`set either "kernel" or its "jacobi" alias, not both`)
-	}
-	if s.Jacobi != nil && !hasKind(kinds, WorkloadJacobi) {
-		return fmt.Errorf(`the "jacobi" section is the kernel section's legacy alias; sweeps without the jacobi workload use "kernel"`)
-	}
-	cfg := s.kernelConfig()
-	if cfg == nil {
-		if kinds[0] == WorkloadJacobi && len(kinds) == 1 {
-			return fmt.Errorf(`workload %v needs a "jacobi" section (canonical name: "kernel")`, WorkloadJacobi)
-		}
-		return fmt.Errorf(`every kernel workload needs a "kernel" section`)
-	}
-	if len(s.Seeds) > 0 || s.Replications > 1 || s.BaseSeed != 0 {
-		return fmt.Errorf("kernel workloads are fully deterministic: seeds/replications/base_seed have no effect; remove them")
-	}
-	return cfg.validate(kinds)
+	return spec.validate(s, kinds)
 }
 
-// rejectSections rejects the trace/service sections for a workload they
-// cannot configure.
-func (s *Scenario) rejectSections(k WorkloadKind, hasTrace, hasService bool) error {
-	if hasTrace {
-		return fmt.Errorf(`the "trace" section has no effect on workload %v; remove it`, k)
-	}
-	if hasService {
-		return fmt.Errorf(`the "service" section has no effect on workload %v; remove it`, k)
-	}
-	return nil
-}
-
-func hasKind(kinds []WorkloadKind, k WorkloadKind) bool {
-	for _, kk := range kinds {
-		if kk == k {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *NoCConfig) validate() error {
-	// Resolve the topology axis first: every listed fabric must build at
-	// this size, and every pattern must be valid on every fabric.
-	seenT := map[noc.TopologyKind]bool{}
-	topos := make([]noc.Topology, 0, len(c.Topologies)+1)
-	for _, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			return fmt.Errorf(`"noc.topologies": %w`, err)
-		}
-		if seenT[k] {
-			return fmt.Errorf(`"noc.topologies": %v listed twice`, k)
-		}
-		seenT[k] = true
-		topo, err := noc.NewTopologyOfKind(k, c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"noc": %w`, err)
-		}
-		topos = append(topos, topo)
-	}
-	if len(topos) == 0 {
-		topo, err := noc.NewTopology(c.Width, c.Height)
-		if err != nil {
-			return fmt.Errorf(`"noc": %w`, err)
-		}
-		topos = append(topos, topo)
-	}
-	if len(c.Patterns) == 0 {
-		return fmt.Errorf(`"noc.patterns" must list at least one of: %s`,
-			strings.Join(noc.PatternNames(), ", "))
-	}
-	seen := map[noc.Pattern]bool{}
-	for _, name := range c.Patterns {
-		p, err := noc.ParsePattern(name)
-		if err != nil {
-			return fmt.Errorf(`"noc.patterns": %w`, err)
-		}
-		for _, topo := range topos {
-			if err := noc.ValidatePattern(p, topo); err != nil {
-				return fmt.Errorf(`"noc.patterns": %w`, err)
-			}
-		}
-		if seen[p] {
-			return fmt.Errorf(`"noc.patterns": %v listed twice`, p)
-		}
-		seen[p] = true
-	}
-	seenR := map[noc.RouterKind]bool{}
-	for _, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			return fmt.Errorf(`"noc.routers": %w`, err)
-		}
-		if seenR[k] {
-			return fmt.Errorf(`"noc.routers": %v listed twice`, k)
-		}
-		seenR[k] = true
-	}
-	if len(c.Rates) == 0 {
-		return fmt.Errorf(`"noc.rates" must list at least one offered load in (0, 1]`)
-	}
-	for _, r := range c.Rates {
-		if r <= 0 || r > 1 {
-			return fmt.Errorf(`"noc.rates": offered load %g outside (0, 1]`, r)
-		}
-	}
-	if c.HotspotNode < 0 || c.HotspotNode >= topos[0].NumEndpoints() {
-		return fmt.Errorf(`"noc.hotspot_node" %d outside the %dx%d endpoint grid (0..%d)`,
-			c.HotspotNode, c.Width, c.Height, topos[0].NumEndpoints()-1)
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf(`"noc.queue_cap" must be >= 0, got %d`, c.QueueCap)
-	}
-	if c.Burst != nil {
-		if err := (noc.BurstConfig{MeanOn: c.Burst.MeanOn, MeanOff: c.Burst.MeanOff}).Validate(); err != nil {
-			return fmt.Errorf(`"noc.burst": %w`, err)
-		}
-	}
-	if c.WarmupCycles < 0 {
-		return fmt.Errorf(`"noc.warmup_cycles" must be >= 0, got %d`, c.WarmupCycles)
-	}
-	if c.MeasureCycles < 0 {
-		return fmt.Errorf(`"noc.measure_cycles" must be >= 0, got %d`, c.MeasureCycles)
-	}
-	if len(c.MeasureWindows) > 0 {
-		if c.MeasureCycles != 0 {
-			return fmt.Errorf(`set either "noc.measure_cycles" or "noc.measure_windows", not both`)
-		}
-		for _, w := range c.MeasureWindows {
-			if w <= 0 {
-				return fmt.Errorf(`"noc.measure_windows": window %d must be positive`, w)
-			}
-		}
-	}
-	return nil
-}
-
-func (c *KernelConfig) validate(kinds []WorkloadKind) error {
-	hasJacobi := hasKind(kinds, WorkloadJacobi)
-	hasMatmul := hasKind(kinds, WorkloadMatmul)
-	hasSync := hasKind(kinds, WorkloadSyncbench)
-
-	if hasJacobi && c.N < 3 {
-		return fmt.Errorf(`"kernel.n" must be >= 3 for jacobi (the paper uses 16, 30 and 60), got %d`, c.N)
-	}
-	if hasMatmul && (c.N < 2 || c.N > 64) {
-		return fmt.Errorf(`"kernel.n" must be in 2..64 for matmul, got %d`, c.N)
-	}
-	if !hasJacobi && !hasMatmul && c.N != 0 {
-		return fmt.Errorf(`"kernel.n" has no effect on the syncbench workload; remove it`)
-	}
-	variants, err := c.variantList()
-	if err != nil {
-		return err
-	}
-	if hasSync {
-		for _, v := range variants {
-			if v == jacobi.HybridSync {
-				return fmt.Errorf(`"kernel.variants": the syncbench workload has no %v variant (it measures the barrier itself; use %v or %v)`,
-					jacobi.HybridSync, jacobi.HybridFull, jacobi.PureSM)
-			}
-		}
-	}
-	if len(c.Cores) == 0 {
-		return fmt.Errorf(`"kernel.cores" must list at least one compute-core count`)
-	}
-	for _, n := range c.Cores {
-		if n < 2 || n > 15 {
-			return fmt.Errorf(`"kernel.cores": %d outside the architecture's 2..15 range`, n)
-		}
-	}
-	if len(c.CacheKB) == 0 {
-		return fmt.Errorf(`"kernel.cache_kb" must list at least one L1 size in kB`)
-	}
-	for _, kb := range c.CacheKB {
-		if kb <= 0 {
-			return fmt.Errorf(`"kernel.cache_kb": %d must be positive`, kb)
-		}
-	}
-	for _, p := range c.Policies {
-		if _, err := parsePolicy(p); err != nil {
-			return fmt.Errorf(`"kernel.policies": %w`, err)
-		}
-	}
-	if c.Rounds < 0 {
-		return fmt.Errorf(`"kernel.rounds" must be >= 0, got %d`, c.Rounds)
-	}
-	if c.Rounds > 0 && !hasSync {
-		return fmt.Errorf(`"kernel.rounds" only affects the syncbench workload; remove it`)
-	}
-	if c.Warmup < 0 || c.Measured < 0 {
-		return fmt.Errorf(`"kernel.warmup"/"kernel.measured" must be >= 0`)
-	}
-	if (c.Warmup > 0 || c.Measured > 0) && !hasJacobi {
-		return fmt.Errorf(`"kernel.warmup"/"kernel.measured" only affect the jacobi workload; remove them`)
-	}
-	return nil
-}
-
-// variantList resolves the variant axis: the Variants list, or the single
-// Variant (default hybrid-full).
-func (c *KernelConfig) variantList() ([]jacobi.Variant, error) {
-	if len(c.Variants) > 0 {
-		if c.Variant != "" {
-			return nil, fmt.Errorf(`set either "kernel.variant" or "kernel.variants", not both`)
-		}
-		seen := map[jacobi.Variant]bool{}
-		out := make([]jacobi.Variant, 0, len(c.Variants))
-		for _, name := range c.Variants {
-			v, err := parseVariant(name)
-			if err != nil {
-				return nil, fmt.Errorf(`"kernel.variants": %w`, err)
-			}
-			if seen[v] {
-				return nil, fmt.Errorf(`"kernel.variants": %v listed twice`, v)
-			}
-			seen[v] = true
-			out = append(out, v)
-		}
-		return out, nil
-	}
-	v, err := parseVariant(c.Variant)
-	if err != nil {
-		return nil, fmt.Errorf(`"kernel.variant": %w`, err)
-	}
-	return []jacobi.Variant{v}, nil
-}
-
-// kernelSweepOptions maps the scenario's kernel section onto the shared
-// dse.KernelSweep options for one kernel. The scenario must have passed
-// Validate, so the axis parses cannot fail here.
-func (s *Scenario) kernelSweepOptions(k dse.Kernel) (dse.KernelOptions, error) {
-	c := s.kernelConfig()
-	variants, err := c.variantList()
-	if err != nil {
-		return dse.KernelOptions{}, err
-	}
-	policies := make([]cache.Policy, 0, len(c.Policies))
-	for _, ps := range c.Policies {
-		p, err := parsePolicy(ps)
-		if err != nil {
-			return dse.KernelOptions{}, err
-		}
-		policies = append(policies, p)
-	}
-	return dse.KernelOptions{
-		Kernel:      k,
-		N:           c.N,
-		Rounds:      c.Rounds,
-		Cores:       c.Cores,
-		CachesKB:    c.CacheKB,
-		Policies:    policies,
-		Variants:    variants,
-		Warmup:      c.Warmup,
-		Measured:    c.Measured,
-		Parallelism: s.Parallelism,
-		Cache:       s.Cache,
-	}, nil
+// seeded reports whether any seed option is set, for the deterministic
+// workloads that reject them.
+func (s *Scenario) seeded() bool {
+	return len(s.Seeds) > 0 || s.Replications > 1 || s.BaseSeed != 0
 }
 
 // seedList resolves the seed axis: explicit Seeds, or Replications seeds
@@ -977,89 +379,11 @@ func (s *Scenario) NumPoints() int {
 }
 
 // kindPoints returns the number of sweep points one workload kind
-// contributes, matching the canonical point order its Run produces.
+// contributes: the product of its axis sizes.
 func (s *Scenario) kindPoints(k WorkloadKind) int {
-	switch k {
-	case WorkloadNoC:
-		n := len(s.NoC.topologyList()) * len(s.NoC.routerList()) *
-			len(s.NoC.Patterns) * len(s.NoC.Rates) * len(s.seedList())
-		if w := len(s.NoC.MeasureWindows); w > 0 {
-			n *= w
-		}
-		return n
-	case WorkloadTrace:
-		t, err := s.Trace.load()
-		if err != nil {
-			return 0
-		}
-		return len(s.Trace.topologyList(t)) * len(s.Trace.routerList(t))
-	case WorkloadService:
-		return len(s.Service.topologyList()) * len(s.Service.routerList()) *
-			len(s.Service.ArrivalRates) * len(s.seedList())
+	n := 1
+	for _, a := range specs[k].axes(s) {
+		n *= a.n
 	}
-	c := s.kernelConfig()
-	pols := len(c.Policies)
-	if pols == 0 {
-		pols = 1
-	}
-	variants := len(c.Variants)
-	if variants == 0 {
-		variants = 1
-	}
-	return variants * pols * len(c.CacheKB) * len(c.Cores)
-}
-
-// routerList resolves the router axis: the listed routers, or the paper's
-// deflection router when none are named. The scenario must have passed
-// Validate, so ParseRouter cannot fail here.
-func (c *NoCConfig) routerList() []noc.RouterKind {
-	if len(c.Routers) == 0 {
-		return []noc.RouterKind{noc.RouterDeflection}
-	}
-	kinds := make([]noc.RouterKind, len(c.Routers))
-	for i, name := range c.Routers {
-		k, err := noc.ParseRouter(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated router failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
-}
-
-// topologyList resolves the topology axis: the listed fabrics, or the
-// paper's folded torus when none are named. The scenario must have passed
-// Validate, so ParseTopology cannot fail here.
-func (c *NoCConfig) topologyList() []noc.TopologyKind {
-	if len(c.Topologies) == 0 {
-		return []noc.TopologyKind{noc.TopoTorus}
-	}
-	kinds := make([]noc.TopologyKind, len(c.Topologies))
-	for i, name := range c.Topologies {
-		k, err := noc.ParseTopology(name)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: validated topology failed to parse: %v", err))
-		}
-		kinds[i] = k
-	}
-	return kinds
-}
-
-// parseVariant resolves a programming-model variant, defaulting the empty
-// string to the paper's headline hybrid-full model.
-func parseVariant(s string) (jacobi.Variant, error) {
-	if strings.TrimSpace(s) == "" {
-		return jacobi.HybridFull, nil
-	}
-	return jacobi.ParseVariant(s)
-}
-
-func parsePolicy(s string) (cache.Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "wb", "write-back", "writeback":
-		return cache.WriteBack, nil
-	case "wt", "write-through", "writethrough":
-		return cache.WriteThrough, nil
-	}
-	return 0, fmt.Errorf("unknown cache policy %q (have: write-back/wb, write-through/wt)", s)
+	return n
 }

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -169,12 +171,12 @@ func TestRunNoCDeterministicAndOrdered(t *testing.T) {
 	if s.NumPoints() != 16 {
 		t.Fatalf("NumPoints = %d, want 16", s.NumPoints())
 	}
-	r1, err := Run(s)
+	r1, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Parallelism = 1 // different interleaving must not change anything
-	r2, err := Run(s)
+	r2, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +207,18 @@ func TestRunBurstyScenario(t *testing.T) {
 		"noc": {"width": 4, "height": 4, "patterns": ["uniform"], "rates": [0.4],
 		        "burst": {"mean_on": 25, "mean_off": 75}, "measure_cycles": 4000}
 	}`
-	bursty, err := Run(mustParse(t, src))
+	bursty, err := RunCtx(t.Context(), mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(mustParse(t, src))
+	again, err := RunCtx(t.Context(), mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bursty, again) {
 		t.Error("bursty scenario not deterministic per seed")
 	}
-	plain, err := Run(mustParse(t, strings.Replace(src,
+	plain, err := RunCtx(t.Context(), mustParse(t, strings.Replace(src,
 		`"burst": {"mean_on": 25, "mean_off": 75}, `, "", 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +234,7 @@ func TestRunBurstyScenario(t *testing.T) {
 
 func TestRenderFormats(t *testing.T) {
 	s := mustParse(t, validNoC)
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,5 +252,46 @@ func TestRenderFormats(t *testing.T) {
 	}
 	if _, err := Render(results, "xml"); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// summaryProduct multiplies the axis sizes Summary prints for s: the
+// terms between the workload names and " = ", split on " x ", each led by
+// its size.
+func summaryProduct(t testing.TB, s *Scenario) int {
+	t.Helper()
+	summary := Summary(s)
+	_, rest, ok := strings.Cut(strings.TrimPrefix(summary, s.Name+": "), ", ")
+	i := strings.LastIndex(rest, " = ")
+	if !ok || i < 0 {
+		t.Fatalf("malformed summary %q", summary)
+	}
+	n := 1
+	for _, term := range strings.Split(rest[:i], " x ") {
+		size, _, _ := strings.Cut(term, " ")
+		v, err := strconv.Atoi(size)
+		if err != nil {
+			t.Fatalf("summary %q: axis term %q has no leading size", summary, term)
+		}
+		n *= v
+	}
+	return n
+}
+
+// TestSummaryAxesMatchNumPoints: the axes Summary prints must multiply to
+// the point count it (and NumPoints) reports, for every shipped example.
+func TestSummaryAxesMatchNumPoints(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
+	}
+	for _, path := range paths {
+		s, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := summaryProduct(t, s); got != s.NumPoints() {
+			t.Errorf("%s: summary axes multiply to %d, NumPoints = %d: %q", filepath.Base(path), got, s.NumPoints(), Summary(s))
+		}
 	}
 }

@@ -77,11 +77,7 @@ func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, er
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	total := 0
-	for _, k := range kinds {
-		total += s.kindPoints(k)
-	}
-	sel := ShardPoints(shard, shards, total)
+	sel := ShardPoints(shard, shards, s.NumPoints())
 	rows := make([]Row, 0, len(sel))
 	offset := 0
 	for _, k := range kinds {
@@ -94,7 +90,7 @@ func RunShardCtx(ctx context.Context, s *Scenario, shard, shards int) ([]Row, er
 			}
 		}
 		if len(local) > 0 {
-			results, err := ForKind(k).RunShard(ctx, s, local)
+			results, err := specs[k].run(ctx, s, local)
 			if err != nil {
 				return nil, err
 			}
@@ -121,10 +117,7 @@ func MergeShards(s *Scenario, rows []Row) ([]Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	total := 0
-	for _, k := range kinds {
-		total += s.kindPoints(k)
-	}
+	total := s.NumPoints()
 	results := make([]Result, total)
 	seen := make([]bool, total)
 	for _, r := range rows {
@@ -143,8 +136,8 @@ func MergeShards(s *Scenario, rows []Row) ([]Result, error) {
 	offset := 0
 	for _, k := range kinds {
 		n := s.kindPoints(k)
-		if k.IsKernel() {
-			if err := attachSpeedupSeries(s, k, results[offset:offset+n]); err != nil {
+		if ks := specs[k].kernel; ks != nil {
+			if err := attachSpeedupSeries(s, k, ks, results[offset:offset+n]); err != nil {
 				return nil, err
 			}
 		}
@@ -157,7 +150,7 @@ func MergeShards(s *Scenario, rows []Row) ([]Result, error) {
 // block, per (variant) series, with dse.AttachKernelSpeedup — the exact
 // baseline choice and float64 division of the single-process path, over
 // the exact same inputs, so the reattached figures are bit-identical.
-func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
+func attachSpeedupSeries(s *Scenario, k WorkloadKind, ks *kernelSpec, block []Result) error {
 	c := s.kernelConfig()
 	variants, err := c.variantList()
 	if err != nil {
@@ -170,14 +163,15 @@ func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
 	for vi := range variants {
 		series := block[vi*per : (vi+1)*per]
 		pts := make([]dse.KernelPoint, len(series))
-		for i, r := range series {
+		for i := range series {
+			r := &series[i]
 			pol, err := parsePolicy(r.Policy)
 			if err != nil {
 				return fmt.Errorf("scenario: merge: %w", err)
 			}
 			cfg := core.DefaultConfig(r.Cores, r.CacheKB, pol)
 			pts[i] = dse.KernelPoint{
-				Cycles:  kernelHeadlineCycles(k, r),
+				Cycles:  *ks.headline(r),
 				AreaMM2: dse.Area(r.Cores, r.CacheKB, cfg.MPMMUCacheKB),
 			}
 		}
@@ -187,19 +181,4 @@ func attachSpeedupSeries(s *Scenario, k WorkloadKind, block []Result) error {
 		}
 	}
 	return nil
-}
-
-// kernelHeadlineCycles returns the metric a kind's Speedup is computed
-// over — the same field dse.KernelPoint.Cycles carried before projection
-// onto the Result schema.
-func kernelHeadlineCycles(k WorkloadKind, r Result) int64 {
-	switch k {
-	case WorkloadJacobi:
-		return r.CyclesPerIter
-	case WorkloadMatmul:
-		return r.TotalCycles
-	case WorkloadSyncbench:
-		return r.CyclesPerRound
-	}
-	return 0
 }

@@ -14,7 +14,7 @@ func loadTopologyAblation(t *testing.T) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestTopologyAblationOrdering(t *testing.T) {
 // TestTopologyAblationGolden proves the declarative path is exact for the
 // topology axis, mirroring TestRouterAblationGolden: running
 // topology-ablation.json must reproduce
-// dse.TopologyAblation(DefaultTopologyAblationOptions()) point-for-point,
+// dse.TopologyAblationCtx(ctx, DefaultTopologyAblationOptions()) point-for-point,
 // because both delegate to noc.Measure.
 func TestTopologyAblationGolden(t *testing.T) {
 	results := loadTopologyAblation(t)
 
 	o := dse.DefaultTopologyAblationOptions()
-	points, err := dse.TopologyAblation(o)
+	points, err := dse.TopologyAblationCtx(t.Context(), o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,23 +8,20 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/dse"
+	"repro/internal/trace"
 )
 
-// WorkloadKind selects what a scenario point simulates. The workload is
-// the fourth pluggable sweep axis, next to the network's topology, router
-// and pattern axes: every kind is resolved by name through ParseWorkload
-// (mirroring noc.ParseRouter/ParseTopology), executes through one
-// registry-dispatched path, and renders through its own schema. The set
-// of implementations is closed inside this package (like noc.Router);
-// adding a kind means adding a Workload implementation and a constant
-// here, and every listing flag, validation message and fuzz corpus picks
-// it up through the registry.
+// WorkloadKind selects what a scenario point simulates. Every kind is
+// resolved by name through ParseWorkload (mirroring
+// noc.ParseRouter/ParseTopology) and described by one entry of the spec
+// table below, which every listing flag, validation message, runner,
+// renderer and fuzz corpus reads.
 type WorkloadKind int
 
-// The six workload implementations. The first three are compute kernels
-// on the full MEDEA system (cores + caches + MPMMU over the NoC), sharing
-// the kernel sweep axes (variants x policies x caches x cores) and the
-// dse.KernelSweep execution path; the rest drive the bare network:
+// The six workload kinds. The first three are compute kernels on the full
+// MEDEA system (cores + caches + MPMMU over the NoC), sharing the kernel
+// sweep axes (variants x policies x caches x cores) and the
+// dse.KernelSweepCtx execution path; the rest drive the bare network:
 // noc-synthetic with generated traffic, trace with recorded traffic, and
 // service with request/response traffic.
 const (
@@ -51,35 +48,168 @@ const (
 	numWorkloads
 )
 
+// workloadSpec is everything the package knows about one workload kind.
+// Adding a kind means adding a constant above and its entry in specs;
+// nothing else in the package switches on the kind.
+type workloadSpec struct {
+	// name is the scenario JSON and CLI vocabulary.
+	name string
+	// kernel is non-nil exactly for the compute kernels, the kinds that
+	// may share one sweep through the "workloads" axis.
+	kernel *kernelSpec
+	// section is the JSON section the kind owns; every other section is
+	// rejected as having no effect.
+	section section
+	// subject names the kind in those rejections.
+	subject string
+	// misuse, when set, may word the rejection of a foreign section more
+	// precisely than the generic "has no effect" (nil falls back to it).
+	misuse func(s *Scenario, sec section) error
+	// validate checks the owned section; kinds is the workload axis.
+	validate func(s *Scenario, kinds []WorkloadKind) error
+	// axes lists the kind's sweep axes in canonical order, outermost
+	// first: the point count is their product.
+	axes func(s *Scenario) []axis
+	// run executes the listed canonical-order point indices (strictly
+	// increasing, in range), or every point when points is nil, returning
+	// one Result per point in order. Sharded runs (non-nil points) leave
+	// kernel Speedup zero: MergeShards recomputes it over the full series.
+	run func(ctx context.Context, s *Scenario, points []int) ([]Result, error)
+	// record runs a single-point scenario with trace capture; nil means
+	// the kind cannot be recorded.
+	record func(ctx context.Context, s *Scenario) (*trace.Trace, []Result, error)
+	// render is the kind's row schema.
+	render renderer
+}
+
+// kernelSpec is the kernel-only part of a workloadSpec.
+type kernelSpec struct {
+	// kernel selects the dse.KernelSweepCtx kernel.
+	kernel dse.Kernel
+	// headline is the Result field holding dse.KernelPoint.Cycles, the
+	// metric the kind's Speedup is computed over.
+	headline func(r *Result) *int64
+	// project fills the kind's remaining metrics from a sweep point.
+	project func(r *Result, p dse.KernelPoint)
+}
+
+// renderer is one kind's row schema. Table and CSV are block-level (they
+// see every row of their kind at once) so a schema can adapt to the axes
+// actually swept — the jacobi schema keeps its figure-golden legacy form
+// for single-variant sweeps and only then adds a variant column.
+type renderer struct {
+	// table writes an aligned header + one row per result into w.
+	table func(w *tabwriter.Writer, rows []Result)
+	// csv writes a CSV header + one line per result into b.
+	csv func(b *strings.Builder, rows []Result)
+	// json returns the row's full-field JSON projection (every field of
+	// the kind always emitted, nothing from other kinds leaking in).
+	json func(r Result) any
+}
+
+// axis is one named sweep axis and its size.
+type axis struct {
+	n    int
+	name string
+}
+
+// section is one of the scenario's per-kind JSON sections.
+type section int
+
+const (
+	secNoC section = iota
+	secTrace
+	secService
+	secKernel
+	numSections
+)
+
+// sections names each section as errors quote it and reports whether a
+// scenario sets it.
+var sections = [numSections]struct {
+	name string
+	set  func(s *Scenario) bool
+}{
+	secNoC:     {`"noc"`, func(s *Scenario) bool { return s.NoC != nil }},
+	secTrace:   {`"trace"`, func(s *Scenario) bool { return s.Trace != nil }},
+	secService: {`"service"`, func(s *Scenario) bool { return s.Service != nil }},
+	secKernel:  {`"kernel"/"jacobi"`, func(s *Scenario) bool { return s.kernelConfig() != nil }},
+}
+
+// specs is the workload table, indexed by kind. It is filled in init
+// because its functions refer back to it (through WorkloadKind.String).
+var specs [numWorkloads]workloadSpec
+
+func init() {
+	// The three kernels share one section, validation, axis set, runner
+	// and recorder; they differ in their metrics and render schemas.
+	kernelKind := func(k WorkloadKind, name string, ks kernelSpec, r renderer) workloadSpec {
+		return workloadSpec{
+			name: name, kernel: &ks, section: secKernel, subject: "kernel workloads",
+			validate: validateKernels, axes: kernelAxes, record: recordKernel, render: r,
+			run: func(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
+				return runKernel(ctx, s, k, points)
+			},
+		}
+	}
+	nocRender := renderer{nocTable, nocCSV, projectRow[nocJSON]}
+	specs = [numWorkloads]workloadSpec{
+		WorkloadJacobi: kernelKind(WorkloadJacobi, "jacobi", kernelSpec{
+			kernel:   dse.KernelJacobi,
+			headline: func(r *Result) *int64 { return &r.CyclesPerIter },
+			project: func(r *Result, p dse.KernelPoint) {
+				r.MissRate, r.AreaMM2 = p.MissRate, p.AreaMM2
+			},
+		}, renderer{jacobiTable, jacobiCSV, projectRow[jacobiJSON]}),
+		WorkloadMatmul: kernelKind(WorkloadMatmul, "matmul", kernelSpec{
+			kernel:   dse.KernelMatmul,
+			headline: func(r *Result) *int64 { return &r.TotalCycles },
+			project: func(r *Result, p dse.KernelPoint) {
+				r.TransferCycles, r.MPMMUBusy, r.NoCFlits = p.TransferCycles, p.MPMMUBusy, p.NoCFlits
+			},
+		}, renderer{matmulTable, matmulCSV, projectRow[matmulJSON]}),
+		WorkloadSyncbench: kernelKind(WorkloadSyncbench, "syncbench", kernelSpec{
+			kernel:   dse.KernelSyncbench,
+			headline: func(r *Result) *int64 { return &r.CyclesPerRound },
+			project: func(r *Result, p dse.KernelPoint) {
+				r.MPMMUBusy, r.NoCFlits = p.MPMMUBusy, p.NoCFlits
+			},
+		}, renderer{syncbenchTable, syncbenchCSV, projectRow[syncbenchJSON]}),
+		WorkloadNoC: {
+			name: "noc-synthetic", section: secNoC, subject: "workload noc-synthetic",
+			validate: validateNoC, axes: nocAxes, run: runNoC, record: recordNoC,
+			render: nocRender,
+		},
+		// Replayed rows carry the noc-synthetic schema (a same-fabric
+		// replay renders byte-identically to its source run); the trace
+		// renderer only serves hand-assembled rows that say "trace".
+		WorkloadTrace: {
+			name: "trace", section: secTrace, subject: "the trace workload",
+			misuse: traceMisuse, validate: validateTrace, axes: traceAxes, run: runTrace,
+			render: nocRender,
+		},
+		WorkloadService: {
+			name: "service", section: secService, subject: "workload service",
+			misuse: serviceMisuse, validate: validateService, axes: serviceAxes, run: runService,
+			render: renderer{serviceTable, serviceCSV, projectRow[serviceJSON]},
+		},
+	}
+}
+
 // String implements fmt.Stringer; the names are the scenario JSON and CLI
 // vocabulary.
 func (k WorkloadKind) String() string {
-	switch k {
-	case WorkloadJacobi:
-		return "jacobi"
-	case WorkloadMatmul:
-		return "matmul"
-	case WorkloadSyncbench:
-		return "syncbench"
-	case WorkloadNoC:
-		return "noc-synthetic"
-	case WorkloadTrace:
-		return "trace"
-	case WorkloadService:
-		return "service"
+	if k < 0 || k >= numWorkloads {
+		return fmt.Sprintf("workload(%d)", int(k))
 	}
-	return fmt.Sprintf("workload(%d)", int(k))
+	return specs[k].name
 }
 
 // IsKernel reports whether the kind is a compute kernel on the full MEDEA
 // system (sharing the kernel sweep axes), as opposed to a bare-network
 // workload. Only kernel kinds may appear in the "workloads" sweep axis.
 func (k WorkloadKind) IsKernel() bool {
-	switch k {
-	case WorkloadJacobi, WorkloadMatmul, WorkloadSyncbench:
-		return true
-	}
-	return false
+	return k >= 0 && k < numWorkloads && specs[k].kernel != nil
 }
 
 // AllWorkloads returns every defined workload kind in declaration order.
@@ -118,175 +248,4 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 		return 0, fmt.Errorf("scenario: workload index %d out of range [0, %d)", n, int(numWorkloads))
 	}
 	return 0, fmt.Errorf("scenario: unknown workload %q (have: %s)", s, strings.Join(WorkloadNames(), ", "))
-}
-
-// Workload is one pluggable workload implementation: it executes its
-// kind's share of a scenario sweep and renders its result rows. The
-// renderer methods are block-level (they see every row of their kind at
-// once) so a schema can adapt to the axes actually swept — the jacobi
-// implementation keeps its figure-golden legacy schema for single-variant
-// sweeps and only then adds a variant column. Implementations live behind
-// ForKind; the set is closed inside this package.
-type Workload interface {
-	// Kind returns the implemented workload kind.
-	Kind() WorkloadKind
-	// Run executes this kind's full sweep cross-product for the (already
-	// validated) scenario, in deterministic axis order. A canceled context
-	// stops dispatching new points and interrupts in-flight simulations.
-	Run(ctx context.Context, s *Scenario) ([]Result, error)
-	// RunShard executes only the listed point indices of this kind's
-	// canonical order (strictly increasing, all in range — RunShardCtx
-	// guarantees this), returning one Result per index in order.
-	// Cross-point figures (kernel Speedup) are NOT attached; MergeShards
-	// recomputes them over the reassembled full series.
-	RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error)
-	// TableInto writes an aligned header + one row per result into w; all
-	// rows are of this kind.
-	TableInto(w *tabwriter.Writer, rows []Result)
-	// CSVInto writes a CSV header + one line per result into b.
-	CSVInto(b *strings.Builder, rows []Result)
-	// JSONRow returns the row's full-field JSON projection (every field
-	// of the kind always emitted, nothing from other kinds leaking in).
-	JSONRow(r Result) any
-}
-
-// workloadImpls is the registry; ForKind dispatches through it.
-var workloadImpls = func() [numWorkloads]Workload {
-	var impls [numWorkloads]Workload
-	impls[WorkloadJacobi] = jacobiWorkload{kernelWorkload{WorkloadJacobi, dse.KernelJacobi}}
-	impls[WorkloadMatmul] = matmulWorkload{kernelWorkload{WorkloadMatmul, dse.KernelMatmul}}
-	impls[WorkloadSyncbench] = syncbenchWorkload{kernelWorkload{WorkloadSyncbench, dse.KernelSyncbench}}
-	impls[WorkloadNoC] = nocWorkload{}
-	impls[WorkloadTrace] = traceWorkload{}
-	impls[WorkloadService] = serviceWorkload{}
-	return impls
-}()
-
-// ForKind returns the singleton implementation of the kind.
-func ForKind(k WorkloadKind) Workload {
-	if k < 0 || k >= numWorkloads {
-		panic(fmt.Sprintf("scenario: no implementation for workload kind %d", int(k)))
-	}
-	return workloadImpls[k]
-}
-
-// kernelWorkload is the shared execution strategy of the three compute
-// kernels: resolve the scenario's kernel section into dse.KernelOptions
-// and delegate to dse.KernelSweep, the execution path shared with
-// dse.KernelAblation and cmd/medea-experiments (the golden tests depend
-// on this).
-type kernelWorkload struct {
-	kind   WorkloadKind
-	kernel dse.Kernel
-}
-
-func (kw kernelWorkload) Kind() WorkloadKind { return kw.kind }
-
-func (kw kernelWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return kw.run(ctx, s, nil)
-}
-
-func (kw kernelWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return kw.run(ctx, s, points)
-}
-
-// run executes the kernel sweep, restricted to the listed canonical-order
-// indices when points is non-nil (dse.KernelSweepCtx then skips the
-// cross-point Speedup attach; MergeShards reapplies it over reassembled
-// series).
-func (kw kernelWorkload) run(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	o, err := s.kernelSweepOptions(kw.kernel)
-	if err != nil {
-		return nil, err
-	}
-	o.Points = points
-	pts, err := dse.KernelSweepCtx(ctx, o)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	results := make([]Result, len(pts))
-	for i, p := range pts {
-		results[i] = kw.resultOf(s, p)
-	}
-	return results, nil
-}
-
-// resultOf projects one kernel sweep point onto the kind's Result schema.
-func (kw kernelWorkload) resultOf(s *Scenario, p dse.KernelPoint) Result {
-	r := Result{
-		Scenario: s.Name,
-		Workload: kw.kind.String(),
-		Variant:  p.Variant.String(),
-		Cores:    p.Compute,
-		CacheKB:  p.CacheKB,
-		Policy:   p.Policy.String(),
-		Speedup:  p.Speedup,
-	}
-	switch kw.kind {
-	case WorkloadJacobi:
-		r.CyclesPerIter = p.Cycles
-		r.MissRate = p.MissRate
-		r.AreaMM2 = p.AreaMM2
-	case WorkloadMatmul:
-		r.TotalCycles = p.Cycles
-		r.TransferCycles = p.TransferCycles
-		r.MPMMUBusy = p.MPMMUBusy
-		r.NoCFlits = p.NoCFlits
-	case WorkloadSyncbench:
-		r.CyclesPerRound = p.Cycles
-		r.MPMMUBusy = p.MPMMUBusy
-		r.NoCFlits = p.NoCFlits
-	}
-	return r
-}
-
-// The three kernel kinds share kernelWorkload's Kind/Run and differ only
-// in their render schemas (defined in output.go).
-type jacobiWorkload struct{ kernelWorkload }
-type matmulWorkload struct{ kernelWorkload }
-type syncbenchWorkload struct{ kernelWorkload }
-
-// nocWorkload drives synthetic traffic on the bare network; its Run body
-// lives in run.go next to the per-point measurement.
-type nocWorkload struct{}
-
-func (nocWorkload) Kind() WorkloadKind { return WorkloadNoC }
-
-func (nocWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return runNoCShard(ctx, s, nil)
-}
-
-func (nocWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return runNoCShard(ctx, s, points)
-}
-
-// traceWorkload replays a recorded trace through the replay sweep axes;
-// its Run body lives in trace.go. Replayed rows carry the noc-synthetic
-// schema (a same-fabric replay renders byte-identically to its source
-// run), so the render methods delegate to the noc schema for the rare
-// hand-assembled row that still says "trace".
-type traceWorkload struct{}
-
-func (traceWorkload) Kind() WorkloadKind { return WorkloadTrace }
-
-func (traceWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return runTraceShard(ctx, s, nil)
-}
-
-func (traceWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return runTraceShard(ctx, s, points)
-}
-
-// serviceWorkload drives request/response traffic on the bare network;
-// its Run body lives in service.go and its schema in output.go.
-type serviceWorkload struct{}
-
-func (serviceWorkload) Kind() WorkloadKind { return WorkloadService }
-
-func (serviceWorkload) Run(ctx context.Context, s *Scenario) ([]Result, error) {
-	return runServiceShard(ctx, s, nil)
-}
-
-func (serviceWorkload) RunShard(ctx context.Context, s *Scenario, points []int) ([]Result, error) {
-	return runServiceShard(ctx, s, points)
 }

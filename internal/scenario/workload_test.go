@@ -16,8 +16,13 @@ func TestParseWorkloadRoundTrip(t *testing.T) {
 		if got, err := ParseWorkload("  " + strings.ToUpper(k.String()) + " "); err != nil || got != k {
 			t.Errorf("ParseWorkload upper(%q) = %v, %v", k, got, err)
 		}
-		if ForKind(k).Kind() != k {
-			t.Errorf("registry impl for %v reports kind %v", k, ForKind(k).Kind())
+		spec := specs[k]
+		if spec.name == "" || spec.subject == "" || spec.validate == nil || spec.axes == nil || spec.run == nil ||
+			spec.render.table == nil || spec.render.csv == nil || spec.render.json == nil {
+			t.Errorf("spec entry for %v is incomplete: %+v", k, spec)
+		}
+		if ks := spec.kernel; ks != nil && (ks.headline == nil || ks.project == nil) {
+			t.Errorf("kernel spec entry for %v is incomplete: %+v", k, ks)
 		}
 	}
 	if got, err := ParseWorkload("noc_synthetic"); err != nil || got != WorkloadNoC {
@@ -70,7 +75,7 @@ func TestCrossWorkloadDeterminism(t *testing.T) {
 	for name, src := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			s := mustParse(t, src)
-			first, err := Run(s)
+			first, err := RunCtx(t.Context(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,14 +83,14 @@ func TestCrossWorkloadDeterminism(t *testing.T) {
 				t.Fatalf("got %d results, scenario declares %d", len(first), s.NumPoints())
 			}
 			s.Parallelism = 1 // different interleaving must not change anything
-			again, err := Run(s)
+			again, err := RunCtx(t.Context(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(first, again) {
 				t.Errorf("results differ between parallel and serial execution:\n%+v\nvs\n%+v", first, again)
 			}
-			third, err := Run(mustParse(t, src))
+			third, err := RunCtx(t.Context(), mustParse(t, src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +117,7 @@ func TestWorkloadBlocksOrdered(t *testing.T) {
 		"kernel": {"n": 8, "cores": [2, 3], "cache_kb": [4],
 		           "variants": ["hybrid-full", "pure-sm"], "rounds": 2}
 	}`)
-	results, err := Run(s)
+	results, err := RunCtx(t.Context(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

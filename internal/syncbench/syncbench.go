@@ -68,20 +68,15 @@ type Result struct {
 // with the package's reference configuration (8 kB write-back L1s) and
 // returns the averaged cost.
 func Measure(kind Kind, cores, rounds int) (Result, error) {
-	return MeasureWith(kind, core.DefaultConfig(cores, 8, cache.WriteBack), rounds)
+	return MeasureWithCtx(context.Background(), kind, core.DefaultConfig(cores, 8, cache.WriteBack), rounds)
 }
 
-// MeasureWith runs rounds synchronization episodes on the system described
-// by cfg (cfg.NumCompute cores take part) and returns the averaged cost.
-// It is the configurable entry point behind Measure, shared with the
-// kernel sweeps in internal/dse so the declarative and hand-coded paths
-// measure through one implementation.
-func MeasureWith(kind Kind, cfg core.Config, rounds int) (Result, error) {
-	return MeasureWithCtx(context.Background(), kind, cfg, rounds)
-}
-
-// MeasureWithCtx is MeasureWith with cooperative cancellation: a canceled
-// context stops the simulation mid-run and aborts the benchmark
+// MeasureWithCtx runs rounds synchronization episodes on the system
+// described by cfg (cfg.NumCompute cores take part) and returns the
+// averaged cost. It is the configurable entry point behind Measure, shared
+// with the kernel sweeps in internal/dse so the declarative and hand-coded
+// paths measure through one implementation. Cancellation is cooperative: a
+// canceled context stops the simulation mid-run and aborts the benchmark
 // goroutines, so a canceled sweep point costs bounded time and leaks
 // nothing. Errors inside the benchmark kernels (e.g. a communicator that
 // fails to build) fail the run with an error rather than panicking.
@@ -125,7 +120,7 @@ func runKernel(env *pe.Env, kind Kind, sys *core.System, nodes []int, rank, roun
 	case MessageBarrier:
 		comm, err := empi.New(env, nodes)
 		if err != nil {
-			// Fail this rank's core instead of panicking: MeasureWith
+			// Fail this rank's core instead of panicking: MeasureWithCtx
 			// returns the error as a per-run failure instead of the
 			// process dying.
 			env.Fail(fmt.Errorf("syncbench: rank %d: %w", rank, err))

@@ -108,14 +108,14 @@ func TestMeasureWithMatchesMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := MeasureWith(LockBarrier, core.DefaultConfig(4, 8, cache.WriteBack), 5)
+	same, err := MeasureWithCtx(t.Context(), LockBarrier, core.DefaultConfig(4, 8, cache.WriteBack), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if short != same {
-		t.Errorf("MeasureWith(reference cfg) = %+v, Measure = %+v", same, short)
+		t.Errorf("MeasureWithCtx(t.Context(), reference cfg) = %+v, Measure = %+v", same, short)
 	}
-	if _, err := MeasureWith(LockBarrier, core.DefaultConfig(4, 16, cache.WriteThrough), 5); err != nil {
+	if _, err := MeasureWithCtx(t.Context(), LockBarrier, core.DefaultConfig(4, 16, cache.WriteThrough), 5); err != nil {
 		t.Errorf("MeasureWith rejected a non-reference configuration: %v", err)
 	}
 }
