@@ -85,6 +85,7 @@ type Txn struct {
 // Result is the outcome of a completed transaction.
 type Result struct {
 	// Data carries 1 word for single reads and 4 words for block reads.
+	// It aliases the bridge's reorder buffer until the next Start.
 	Data []uint32
 	// Cycles is the total latency of the transaction.
 	Cycles int64
@@ -132,7 +133,8 @@ type Bridge struct {
 	txn       Txn
 	started   int64
 	result    Result
-	sendQueue []flit.Flit // flits of the current protocol step
+	sendQueue []flit.Flit             // flits of the current protocol step
+	sendBuf   [ReorderDepth]flit.Flit // sendQueue's reused backing array
 	reorder   [ReorderDepth]uint32
 	gotMask   uint8
 	gotCount  int
@@ -183,7 +185,7 @@ func (b *Bridge) Start(t Txn, now int64) {
 	b.gotMask, b.gotCount, b.lastSeq = 0, 0, -1
 	b.Stats.Txns.Inc()
 	// The request token: source id, address and type, as per the paper.
-	b.sendQueue = append(b.sendQueue[:0], b.makeFlit(flit.SubAddr, 0, 0, t.Addr, now))
+	b.sendQueue = append(b.sendBuf[:0], b.makeFlit(flit.SubAddr, 0, 0, t.Addr, now))
 	b.st = stSendReq
 }
 
@@ -259,6 +261,7 @@ func (b *Bridge) queueWriteData(now int64) {
 	if err != nil {
 		panic(err)
 	}
+	b.sendQueue = b.sendBuf[:0]
 	for i, w := range b.txn.Data {
 		b.sendQueue = append(b.sendQueue, b.makeFlit(flit.SubData, uint8(i), code, w, now))
 	}
@@ -286,7 +289,7 @@ func (b *Bridge) Deliver(f flit.Flit, now int64) {
 		if f.Sub == flit.SubNack {
 			// The MPMMU queues lock waiters, so a NACK is only used by
 			// failure-injection tests; retry by re-sending the request.
-			b.sendQueue = append(b.sendQueue[:0], b.makeFlit(flit.SubAddr, 0, 0, b.txn.Addr, now))
+			b.sendQueue = append(b.sendBuf[:0], b.makeFlit(flit.SubAddr, 0, 0, b.txn.Addr, now))
 			b.st = stSendReq
 			return
 		}
@@ -313,7 +316,7 @@ func (b *Bridge) Deliver(f flit.Flit, now int64) {
 		b.reorder[f.Seq] = f.Data
 		b.gotCount++
 		if b.gotCount == want {
-			b.result.Data = append([]uint32(nil), b.reorder[:want]...)
+			b.result.Data = b.reorder[:want]
 			b.finish(now)
 		}
 	default:

@@ -296,10 +296,21 @@ func (s *System) Run(maxCycles int64) error {
 //     stops the run at the next tick boundary rather than letting the
 //     surviving cores spin against the cycle budget, and its error is
 //     returned;
-//   - on every early exit the remaining program goroutines are aborted
-//     (pe.Proc.Abort), so canceled, failed or timed-out runs leak nothing.
-func (s *System) RunCtx(ctx context.Context, maxCycles int64) error {
-	err := s.Engine.RunUntilCtx(ctx, func() bool {
+//   - on every early exit, an error or a panic unwinding through it, the
+//     remaining programs are aborted (pe.Proc.Abort), so canceled, failed
+//     or timed-out runs leak nothing.
+func (s *System) RunCtx(ctx context.Context, maxCycles int64) (err error) {
+	finished := false
+	defer func() {
+		if err != nil || !finished {
+			// Unwind whatever is still running so no program outlives
+			// its abandoned simulation.
+			for _, p := range s.Procs {
+				p.Abort()
+			}
+		}
+	}()
+	err = s.Engine.RunUntilCtx(ctx, func() bool {
 		allHalted := true
 		for _, p := range s.Procs {
 			if !p.Halted() {
@@ -325,13 +336,7 @@ func (s *System) RunCtx(ctx context.Context, maxCycles int64) error {
 	if err == nil && progErr != nil {
 		err = progErr
 	}
-	if err != nil {
-		// Unwind whatever is still running so no program goroutine
-		// outlives its abandoned simulation.
-		for _, p := range s.Procs {
-			p.Abort()
-		}
-	}
+	finished = true
 	return err
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // shared carries the per-rank timing measurements out of the program
-// goroutines. Writes happen strictly before the final opHalt rendezvous,
-// so the driver may read them after the run completes.
+// coroutines. Each program writes them before it returns, which is before
+// its core halts, so the driver may read them after the run completes.
 type shared struct {
 	t0, t1 []int64
 }

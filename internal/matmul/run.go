@@ -29,6 +29,8 @@ type Result struct {
 	CyclesSkipped int64
 }
 
+// mmShared carries the per-rank timing measurements out of the program
+// coroutines, written before each core halts (see jacobi's shared).
 type mmShared struct {
 	t0, tMid, t1 []int64
 }
@@ -36,7 +38,7 @@ type mmShared struct {
 // RunCtx executes C = A x B on a MEDEA system in the given variant and
 // verifies the product against the sequential reference. Cancellation is
 // cooperative: a canceled context stops the simulation mid-run and aborts
-// the kernel goroutines, so a canceled sweep point costs bounded time and
+// the kernel programs, so a canceled sweep point costs bounded time and
 // leaks nothing.
 func RunCtx(ctx context.Context, cfg core.Config, spec Spec, variant Variant) (Result, error) {
 	if err := spec.Validate(); err != nil {

@@ -85,7 +85,11 @@ type Unit struct {
 	lineBuf   [4]uint32
 	gotMask   uint8
 	gotCount  int
-	afterBusy func(now int64)
+	// The reply to u.cur owed once the access latency elapses: replyWords
+	// words of readBuf for a read, a completion ack when zero, stamped
+	// with replyAt.
+	replyWords int
+	replyAt    int64
 
 	// Scratch buffers for the per-request access path. The MPMMU serves
 	// one request at a time, so a single set of buffers is safe and keeps
@@ -93,7 +97,10 @@ type Unit struct {
 	readBuf     [4]uint32
 	lineScratch [cache.LineBytes]byte
 
-	locks     map[uint32]*lockState
+	locks map[uint32]*lockState
+	// spare is the state of the last released lock, reused by the next
+	// acquisition so uncontended locking allocates nothing.
+	spare     *lockState
 	nextPktID uint64
 
 	Stats Stats
@@ -164,10 +171,8 @@ func (u *Unit) Step(now int64) {
 	case stBusy:
 		u.Stats.BusyCycles.Inc()
 		if now >= u.busyUntil {
-			fn := u.afterBusy
-			u.afterBusy = nil
 			u.st = stIdle
-			fn(now)
+			u.reply()
 		}
 	case stCollect:
 		u.collectData(now)
@@ -209,17 +214,8 @@ func (u *Unit) startNext(now int64) {
 // startRead performs the access and, after the access latency, pushes the
 // reply data into the outgoing FIFO.
 func (u *Unit) startRead(now int64, addr uint32, words int) {
-	data, lat := u.readWords(addr, words)
-	dst := int(u.cur.Src)
-	u.becomeBusy(now, lat, func(int64) {
-		code, _ := flit.EncodeBurst(flit.RoundUpBurst(words))
-		if words == 1 {
-			code = 0
-		}
-		for i := 0; i < words; i++ {
-			u.pushOut(dst, u.cur.Type, flit.SubData, uint8(i), code, data[i], now+lat)
-		}
-	})
+	_, lat := u.readWords(addr, words)
+	u.becomeBusy(now, lat, words)
 }
 
 // startWrite grants the transaction and waits for the data flits.
@@ -257,26 +253,46 @@ func (u *Unit) collectData(now int64) {
 	} else {
 		lat = u.writeWord(addr, u.lineBuf[0])
 	}
-	dst := int(u.cur.Src)
-	u.becomeBusy(now, lat, func(int64) {
-		u.pushOut(dst, u.cur.Type, flit.SubAck, 0, 0, 0, now+lat)
-	})
+	u.becomeBusy(now, lat, 0)
 }
 
-func (u *Unit) becomeBusy(now, lat int64, fn func(now int64)) {
+// becomeBusy occupies the unit for the access latency, after which it
+// sends the reply of replyWords read words (or an ack).
+func (u *Unit) becomeBusy(now, lat int64, replyWords int) {
+	u.replyWords, u.replyAt = replyWords, now+lat
 	if lat <= 0 {
 		lat = 1
 	}
 	u.busyUntil = now + lat
-	u.afterBusy = fn
 	u.st = stBusy
+}
+
+// reply sends the reply owed to the request being served.
+func (u *Unit) reply() {
+	dst, words := int(u.cur.Src), u.replyWords
+	if words == 0 {
+		u.pushOut(dst, u.cur.Type, flit.SubAck, 0, 0, 0, u.replyAt)
+		return
+	}
+	code, _ := flit.EncodeBurst(flit.RoundUpBurst(words))
+	if words == 1 {
+		code = 0
+	}
+	for i, w := range u.readBuf[:words] {
+		u.pushOut(dst, u.cur.Type, flit.SubData, uint8(i), code, w, u.replyAt)
+	}
 }
 
 func (u *Unit) handleLock(req flit.Flit) {
 	addr := req.Data
 	ls := u.locks[addr]
 	if ls == nil {
-		u.locks[addr] = &lockState{owner: int(req.Src)}
+		ls, u.spare = u.spare, nil
+		if ls == nil {
+			ls = &lockState{}
+		}
+		ls.owner = int(req.Src)
+		u.locks[addr] = ls
 		u.pushOut(int(req.Src), flit.Lock, flit.SubAck, 0, 0, addr, 0)
 		return
 	}
@@ -295,10 +311,11 @@ func (u *Unit) handleUnlock(req flit.Flit) {
 	u.pushOut(int(req.Src), flit.Unlock, flit.SubAck, 0, 0, addr, 0)
 	if len(ls.waiters) == 0 {
 		delete(u.locks, addr)
+		u.spare = ls
 		return
 	}
 	next := ls.waiters[0]
-	ls.waiters = ls.waiters[1:]
+	ls.waiters = append(ls.waiters[:0], ls.waiters[1:]...)
 	ls.owner = next
 	u.pushOut(next, flit.Lock, flit.SubAck, 0, 0, addr, 0)
 }

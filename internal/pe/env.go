@@ -4,33 +4,43 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/flit"
 	"repro/internal/tie"
 )
 
 // Env is the API application programs use to run on a core. Every method
-// is blocking, mirroring the in-order core: the calling goroutine resumes
-// when the operation completes in simulated time.
+// is blocking, mirroring the in-order core: the program resumes when the
+// operation completes in simulated time.
 //
 // Loads and stores move real bytes through the simulated memory hierarchy,
 // so programs compute real results while accumulating accurate timing.
 type Env struct {
-	p *Proc
+	p     *Proc
+	yield func(op) bool
 }
 
+// issue hands o to the core and suspends the program until the core has
+// completed it. A false yield means the core aborted the program (see
+// Proc.Abort): unwind through the recovery wrapper installed by Launch.
 func (e *Env) issue(o op) result {
-	e.p.opCh <- o
-	res := <-e.p.resCh
-	if res.aborted {
-		// The core aborted this program (see Proc.Abort): unwind the
-		// goroutine through the recovery wrapper installed by Launch.
+	if !e.yield(o) {
 		panic(errProgramAborted)
 	}
+	res := e.p.stash
+	e.p.stash = result{}
 	return res
+}
+
+// cached issues a cached load or store. Misuse is caught here, on the
+// program side, so it fails the program instead of the simulator.
+func (e *Env) cached(o op) result {
+	checkAlign(o.addr, o.size)
+	return e.issue(o)
 }
 
 // Fail terminates the calling program with err: the error is recorded on
 // the core (readable through Proc.ProgramErr once halted) and the program
-// goroutine unwinds immediately. It is the structured alternative to
+// unwinds immediately. It is the structured alternative to
 // panicking inside kernel code for conditions detected at run time — a
 // failed program halts its own core and fails its own simulation instead
 // of crashing the process. Fail never returns.
@@ -70,23 +80,23 @@ func (e *Env) ComputeFP(adds, muls, intOps int) {
 
 // LoadWord loads a 32-bit word through the L1 cache.
 func (e *Env) LoadWord(addr uint32) uint32 {
-	return uint32(e.issue(op{kind: opLoad, addr: addr, size: 4}).value)
+	return uint32(e.cached(op{kind: opLoad, addr: addr, size: 4}).value)
 }
 
 // StoreWord stores a 32-bit word through the L1 cache.
 func (e *Env) StoreWord(addr uint32, v uint32) {
-	e.issue(op{kind: opStore, addr: addr, size: 4, value: uint64(v)})
+	e.cached(op{kind: opStore, addr: addr, size: 4, value: uint64(v)})
 }
 
 // LoadDouble loads an 8-byte IEEE-754 double through the L1 cache.
 // addr must be 8-aligned.
 func (e *Env) LoadDouble(addr uint32) float64 {
-	return math.Float64frombits(e.issue(op{kind: opLoad, addr: addr, size: 8}).value)
+	return math.Float64frombits(e.cached(op{kind: opLoad, addr: addr, size: 8}).value)
 }
 
 // StoreDouble stores an 8-byte IEEE-754 double through the L1 cache.
 func (e *Env) StoreDouble(addr uint32, v float64) {
-	e.issue(op{kind: opStore, addr: addr, size: 8, value: math.Float64bits(v)})
+	e.cached(op{kind: opStore, addr: addr, size: 8, value: math.Float64bits(v)})
 }
 
 // LoadWordUncached bypasses the cache with a single-read transaction, the
@@ -138,10 +148,14 @@ func (e *Env) Unlock(addr uint32) {
 // Send transmits one logical packet (1..16 words) to the node dst over the
 // TIE message-passing port. It returns when the last flit has entered the
 // injection path (fire-and-forget, as in hardware).
+//
+// The core copies words into flits before Send returns, so the caller may
+// reuse the slice.
 func (e *Env) Send(dst int, class tie.Class, words []uint32) {
-	w := make([]uint32, len(words))
-	copy(w, words)
-	e.issue(op{kind: opSend, dst: dst, class: class, words: w})
+	if len(words) == 0 || len(words) > flit.MaxLogicalPacket {
+		panic(fmt.Sprintf("pe: Send of %d words (want 1..%d)", len(words), flit.MaxLogicalPacket))
+	}
+	e.issue(op{kind: opSend, dst: dst, class: class, words: words})
 }
 
 // Recv blocks until a logical packet of the given class from node src has

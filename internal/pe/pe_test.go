@@ -32,11 +32,11 @@ func TestMulHighOff(t *testing.T) {
 
 func TestWordsBytesRoundTrip(t *testing.T) {
 	words := []uint32{0x01020304, 0xA0B0C0D0, 0, 0xFFFFFFFF}
-	b := bytesOf(words)
+	b := bytesOf(make([]byte, 16), words)
 	if len(b) != 16 {
 		t.Fatalf("bytesOf returned %d bytes", len(b))
 	}
-	back := wordsOf(b)
+	back := wordsOf(make([]uint32, 4), b)
 	for i := range words {
 		if back[i] != words[i] {
 			t.Fatalf("word %d: %#x != %#x", i, back[i], words[i])
@@ -46,7 +46,7 @@ func TestWordsBytesRoundTrip(t *testing.T) {
 
 func TestWordsBytesQuick(t *testing.T) {
 	fn := func(words []uint32) bool {
-		back := wordsOf(bytesOf(words))
+		back := wordsOf(make([]uint32, len(words)), bytesOf(make([]byte, 4*len(words)), words))
 		if len(back) != len(words) {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestWordsOfRejectsRagged(t *testing.T) {
 			t.Error("non-word-multiple byte slice should panic")
 		}
 	}()
-	wordsOf(make([]byte, 7))
+	wordsOf(make([]uint32, 2), make([]byte, 7))
 }
 
 func TestCheckAlign(t *testing.T) {

@@ -5,13 +5,15 @@
 // Instead of an ISA interpreter, the core executes an abstract operation
 // stream — compute bursts, loads/stores, cache control, lock/unlock, send/
 // receive — with the latencies of the paper's cost model. Application code
-// is ordinary Go running in one goroutine per core against the Env API;
-// a strictly synchronous rendezvous keeps the simulation deterministic.
+// is ordinary Go running against the Env API as one coroutine per core
+// (iter.Pull): the core resumes its program to fetch each operation, so
+// only one side ever runs and the simulation stays deterministic.
 package pe
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 
 	"repro/internal/bridge"
@@ -53,9 +55,6 @@ type op struct {
 type result struct {
 	value uint64
 	pkt   tie.Packet
-	// aborted poisons the result: the program goroutine unwinds via
-	// errProgramAborted instead of consuming it (see Proc.Abort).
-	aborted bool
 }
 
 // errProgramAborted is the sentinel the Env API panics with when the core
@@ -98,22 +97,25 @@ type Proc struct {
 	Port   *tie.Port
 	Cost   CostModel
 
-	opCh  chan op
-	resCh chan result
+	// next resumes the program coroutine until it issues its next
+	// operation; stop unwinds it (see Abort).
+	next func() (op, bool)
+	stop func()
 
 	st        procState
 	busyUntil int64
 	pending   op
+	// stash is the result of the pending operation; the program reads it
+	// when next resumes it.
 	stash     result
 	seq       memSeq
 	lastCycle int64
 	finish    int64
 
-	// progErr records why the program goroutine terminated abnormally: an
-	// error passed to Env.Fail, or a recovered panic with its stack. It is
-	// written by the program goroutine strictly before the final opHalt
-	// rendezvous, so the simulation driver may read it once the core has
-	// halted (Halted() true) without further synchronization.
+	// progErr records why the program terminated abnormally: an error
+	// passed to Env.Fail, or a recovered panic with its stack. The program
+	// writes it before its coroutine returns, so it is complete once the
+	// core has halted (Halted() true).
 	progErr error
 
 	Stats Stats
@@ -124,9 +126,7 @@ func NewProc(id, rank int, c *cache.Cache, b *bridge.Bridge, p *tie.Port, cost C
 	return &Proc{
 		ID: id, Rank: rank,
 		Cache: c, Bridge: b, Port: p, Cost: cost,
-		opCh:  make(chan op),
-		resCh: make(chan result),
-		st:    stHalted, // until a program is launched
+		st: stHalted, // until a program is launched
 	}
 }
 
@@ -136,10 +136,10 @@ func (p *Proc) Name() string { return fmt.Sprintf("pe%d", p.ID) }
 // Program is the application code run by a core.
 type Program func(env *Env)
 
-// Launch starts the program goroutine. The core begins fetching operations
-// on the next cycle. Call once per run.
+// Launch wraps the program in a coroutine. The core resumes it to fetch
+// its first operation on the next cycle. Call once per run.
 //
-// The goroutine is panic-isolated: a panic in program code is recovered,
+// The coroutine is panic-isolated: a panic in program code is recovered,
 // recorded (readable through ProgramErr once the core halts) and converted
 // into a normal halt, so one faulty kernel fails its own run instead of
 // taking down the whole process — essential when many simulations share a
@@ -150,23 +150,19 @@ func (p *Proc) Launch(prog Program) {
 	}
 	p.progErr = nil
 	p.st = stNeedOp
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(op) bool) {
 		defer func() {
 			if r := recover(); r != nil && !isAbort(r) {
 				p.progErr = fmt.Errorf("pe: program on core %d (rank %d) panicked: %v\n%s",
 					p.ID, p.Rank, r, debug.Stack())
 			}
-			// Always complete the halt rendezvous, even after a panic or
-			// abort: the engine side (fetchOp or Abort) is blocked on it.
-			p.opCh <- op{kind: opHalt}
 		}()
-		env := &Env{p: p}
-		prog(env)
-	}()
+		prog(&Env{p: p, yield: yield})
+	})
 }
 
 // isAbort reports whether a recovered value is the clean-abort sentinel
-// (raised by Env.issue on a poisoned result or by Env.Fail).
+// (raised by Env.issue after Abort or by Env.Fail).
 func isAbort(r any) bool {
 	err, ok := r.(error)
 	return ok && errors.Is(err, errProgramAborted)
@@ -176,39 +172,23 @@ func isAbort(r any) bool {
 func (p *Proc) Halted() bool { return p.st == stHalted }
 
 // ProgramErr returns the error the program terminated with: an Env.Fail
-// error, a recovered panic, or nil for a clean finish. Only meaningful —
-// and only safe to read — once Halted() reports true.
+// error, a recovered panic, or nil for a clean finish. Only meaningful
+// once Halted() reports true.
 func (p *Proc) ProgramErr() error { return p.progErr }
 
-// Abort terminates a launched program that has not halted: it poisons the
-// rendezvous protocol so the program goroutine unwinds (every blocked or
-// future Env call panics with the abort sentinel, which Launch's wrapper
-// recovers) and returns once the goroutine has reached its halt handshake.
-// Call it from the simulation driver after abandoning a run (cancellation,
-// cycle-budget exhaustion, a failed sibling core) so canceled jobs do not
-// leak program goroutines. The core is left halted; the Proc must not be
-// stepped again afterwards.
+// Abort terminates a launched program that has not halted: it stops the
+// coroutine, so the pending Env call (and any later one, should the
+// program recover) panics with the abort sentinel, which Launch's wrapper
+// recovers; Abort returns once the program has unwound. Call it from the
+// simulation driver after abandoning a run (cancellation, cycle-budget
+// exhaustion, a failed sibling core) so canceled jobs leak nothing. The
+// core is left halted; the Proc must not be stepped again afterwards.
 func (p *Proc) Abort() {
 	if p.st == stHalted {
 		return
 	}
-	// Unless the core is still waiting for the program's first operation,
-	// an operation is pending and the program goroutine is blocked on its
-	// result; poison it to start the unwind.
-	if p.st != stNeedOp {
-		p.resCh <- result{aborted: true}
-	}
-	// Drain the protocol until the goroutine's deferred halt arrives. A
-	// program that ignores the first poisoned result (e.g. application
-	// code recovered our sentinel) keeps issuing ops; keep poisoning.
-	for {
-		o := <-p.opCh
-		if o.kind == opHalt {
-			p.st = stHalted
-			return
-		}
-		p.resCh <- result{aborted: true}
-	}
+	p.stop()
+	p.st = stHalted
 }
 
 // FinishCycle returns the cycle at which the program halted.
@@ -237,7 +217,7 @@ func (p *Proc) Step(now int64) {
 			p.Stats.StallCycles.Inc()
 			return
 		}
-		p.seq.results = append(p.seq.results, res.Data)
+		p.seq.nread += copy(p.seq.read[p.seq.nread:], res.Data)
 		p.advanceSeq(now)
 	case stSending:
 		if p.Port.SendBusy() {
@@ -262,12 +242,15 @@ func (p *Proc) Step(now int64) {
 	}
 }
 
-// fetchOp performs the synchronous rendezvous with the program goroutine
-// and starts the next operation. The receive blocks at most for the time
-// the program needs to compute its next operation, which preserves
-// determinism: the simulator owns the only scheduling decision.
+// fetchOp resumes the program until it issues its next operation and
+// starts that operation; a program that has returned halts the core. The
+// program runs only inside next, so the simulator owns the only
+// scheduling decision and the run stays deterministic.
 func (p *Proc) fetchOp(now int64) {
-	o := <-p.opCh
+	o, ok := p.next()
+	if !ok {
+		o = op{kind: opHalt}
+	}
 	p.Stats.Ops.Inc()
 	p.pending = o
 	switch o.kind {
@@ -292,13 +275,15 @@ func (p *Proc) fetchOp(now int64) {
 		p.st = stReceiving
 	case opLock, opUnlock:
 		p.Stats.Locks.Inc()
-		p.startSeq(p.lockSeq(o), now)
+		p.planLock(o)
+		p.advanceSeq(now)
 	case opLoad, opStore:
 		p.Stats.MemOps.Inc()
 		p.startCached(o, now)
 	case opLoadU, opStoreU, opFlush, opInval:
 		p.Stats.MemOps.Inc()
-		p.startSeq(p.memSeqFor(o), now)
+		p.planMem(o)
+		p.advanceSeq(now)
 	default:
 		panic("pe: unknown op")
 	}
@@ -316,32 +301,6 @@ func (p *Proc) becomeBusy(now, cycles int64) {
 // the next operation, so back-to-back operations lose no cycles.
 func (p *Proc) complete(now int64) {
 	p.lastCycle = now
-	res := p.stash
-	p.stash = result{}
-	p.resCh <- res
 	p.st = stNeedOp
 	p.fetchOp(now)
-}
-
-// startSeq begins a memory micro-sequence: zero or more bridge
-// transactions followed by a finishing action.
-func (p *Proc) startSeq(s memSeq, now int64) {
-	p.seq = s
-	p.seq.results = p.seq.results[:0]
-	p.advanceSeq(now)
-}
-
-func (p *Proc) advanceSeq(now int64) {
-	if len(p.seq.txns) > 0 {
-		t := p.seq.txns[0]
-		p.seq.txns = p.seq.txns[1:]
-		p.Bridge.Start(t, now)
-		p.st = stBridge
-		return
-	}
-	extra := int64(1)
-	if p.seq.finish != nil {
-		p.stash, extra = p.seq.finish(p.seq.results)
-	}
-	p.becomeBusy(now, extra)
 }

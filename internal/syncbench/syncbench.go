@@ -77,7 +77,7 @@ func Measure(kind Kind, cores, rounds int) (Result, error) {
 // with the kernel sweeps in internal/dse so the declarative and hand-coded
 // paths measure through one implementation. Cancellation is cooperative: a
 // canceled context stops the simulation mid-run and aborts the benchmark
-// goroutines, so a canceled sweep point costs bounded time and leaks
+// programs, so a canceled sweep point costs bounded time and leaks
 // nothing. Errors inside the benchmark kernels (e.g. a communicator that
 // fails to build) fail the run with an error rather than panicking.
 func MeasureWithCtx(ctx context.Context, kind Kind, cfg core.Config, rounds int) (Result, error) {

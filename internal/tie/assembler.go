@@ -61,23 +61,20 @@ func (b *asmBuf) add(f flit.Flit) error {
 	return nil
 }
 
-// place routes a flit to its ring buffer and returns any logical packets
-// that completed, in FIFO order.
-func (a *assembler) place(f flit.Flit) (packets [][]uint32, err error) {
+// place routes a flit to its ring buffer and hands the words of every
+// packet that completed to emit, in FIFO order. The words are only valid
+// during the call.
+func (a *assembler) place(f flit.Flit, emit func(words []uint32)) error {
 	if int(f.Seq) >= f.BurstLen() {
 		// Sequence number beyond the burst length: a corrupted burst
 		// field; real hardware would scribble out of bounds.
-		return nil, errCorrupt
+		return errCorrupt
 	}
-	err = a.bufs[f.PktIdx].add(f)
-	for {
-		b := &a.bufs[a.cursor]
-		if !b.complete {
-			break
-		}
-		packets = append(packets, append([]uint32(nil), b.words[:b.need]...))
+	err := a.bufs[f.PktIdx].add(f)
+	for b := &a.bufs[a.cursor]; b.complete; b = &a.bufs[a.cursor] {
+		emit(b.words[:b.need])
 		b.reset()
 		a.cursor = (a.cursor + 1) % flit.NumPktIdx
 	}
-	return packets, err
+	return err
 }

@@ -108,11 +108,15 @@ type Port struct {
 	out *queue.FIFO[flit.Flit]
 
 	// pending is the flit stream of the send in progress; the PE feeds it
-	// at one flit per cycle.
+	// at one flit per cycle. pendBuf is its reused backing array.
 	pending []flit.Flit
+	pendBuf [flit.MaxLogicalPacket]flit.Flit
 
 	asm   map[asmKey]*assembler
 	ready map[asmKey]*queue.FIFO[Packet]
+	// slab is the unused rest of the 256-word chunk that received
+	// payloads are cut from, so a packet costs no allocation of its own.
+	slab []uint32
 	// maxNodes bounds the node-id scan of TryRecvAny so any-source
 	// receives are deterministic (ascending node ids).
 	maxNodes int
@@ -173,6 +177,7 @@ func (p *Port) StartSend(dst int, class Class, words []uint32, now int64) error 
 	idxKey := asmKey{src: dst, class: class}
 	idx := p.pktIdx[idxKey]
 	p.pktIdx[idxKey] = (idx + 1) % flit.NumPktIdx
+	p.pending = p.pendBuf[:0]
 	for seq := 0; seq < n; seq++ {
 		var w uint32
 		if seq < len(words) {
@@ -227,22 +232,26 @@ func (p *Port) Deliver(f flit.Flit) {
 		a = &assembler{}
 		p.asm[k] = a
 	}
-	pkts, err := a.place(f)
-	if err == errOverflow {
-		p.Stats.Overflows.Inc()
-		return
-	}
-	if err == errCorrupt {
-		p.Stats.Corrupted.Inc()
-	}
-	for _, words := range pkts {
+	err := a.place(f, func(words []uint32) {
 		q := p.ready[k]
 		if q == nil {
 			q = queue.NewFIFO[Packet](0)
 			p.ready[k] = q
 		}
-		q.Push(Packet{Src: k.src, Class: k.class, Words: words})
+		if len(p.slab) < len(words) {
+			p.slab = make([]uint32, 256)
+		}
+		w := p.slab[:len(words):len(words)]
+		p.slab = p.slab[len(words):]
+		copy(w, words)
+		q.Push(Packet{Src: k.src, Class: k.class, Words: w})
 		p.Stats.PacketsRecv.Inc()
+	})
+	if err == errOverflow {
+		p.Stats.Overflows.Inc()
+	}
+	if err == errCorrupt {
+		p.Stats.Corrupted.Inc()
 	}
 }
 
