@@ -20,7 +20,7 @@
 // cycle-accurate engine for millions of Ticks per configuration (168
 // configurations for the full Fig 6 sweep), so per-cycle overhead
 // multiplies across the whole benchmark suite. The hot path is organized
-// around three ideas:
+// around four ideas:
 //
 //   - Two-phase tick with dirty-register commit (internal/sim): each cycle
 //     runs all components in phase order (nodes, then switches) and then
@@ -34,6 +34,15 @@
 //     configurations — is unchanged and locked in by
 //     internal/jacobi.TestDeterminismGolden.
 //
+//   - Activity-driven switch phase (internal/noc): one component steps a
+//     network's switches, and only those with work in the cycle — a flit
+//     arriving (link registers stamp their consumer's wake slot on
+//     commit), a flit pending at the local port, buffered flits or a
+//     returned credit. A 2-core MEDEA system carries a flit through a few
+//     of its 16 switches per cycle, so most switch steps disappear; a
+//     sleeping switch catches up its per-cycle state through the
+//     fast-forward Skipper contract before it next steps.
+//
 //   - Ring-buffer FIFOs (internal/queue): every hardware queue (TIE ports,
 //     bridge output, MPMMU request/data queues, arbiter FIFOs, traffic
 //     sources) is a head/tail ring with amortized O(1) push and pop, so
@@ -46,7 +55,8 @@
 //     forms remain as thin wrappers for cold paths and tests.
 //
 // Micro-benchmarks cover each layer: BenchmarkTick (internal/noc, the
-// per-cycle engine cost on the paper's 4x4 mesh at several loads),
+// per-cycle engine cost on the paper's 4x4 mesh at several loads, and per
+// router kind with traffic on only 3 of the 16 switches),
 // BenchmarkFIFOPushPop (internal/queue) and BenchmarkCacheAccess
 // (internal/cache, which must report 0 allocs/op on reads). Run them with
 //

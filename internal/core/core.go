@@ -179,8 +179,8 @@ type nodeIface struct {
 
 func (ni *nodeIface) TryPull() (flit.Flit, bool) { return ni.arb.TryPull() }
 
-// Pending exposes the arbiter's queued-flit count so the node's switch
-// can tell whether injection work remains (fast-forward idle probing).
+// Pending implements noc.LocalPort with the arbiter's queued-flit count,
+// so the node's switch can tell whether injection work remains.
 func (ni *nodeIface) Pending() int { return ni.arb.Pending() }
 
 func (ni *nodeIface) Deliver(f flit.Flit, now int64) {

@@ -2,9 +2,8 @@ package mpmmu
 
 import "repro/internal/sim"
 
-// Pending reports the outgoing-FIFO occupancy; the MPMMU's switch probes
-// it to decide whether the local port still needs draining (the noc
-// package's pendingReporter capability).
+// Pending implements noc.LocalPort: the outgoing-FIFO occupancy, which
+// the MPMMU's switch reads to decide whether it has a flit to pull.
 func (u *Unit) Pending() int { return u.outQ.Len() }
 
 // NextEvent implements sim.NextEventer. A busy unit next acts when the

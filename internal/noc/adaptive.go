@@ -48,9 +48,6 @@ func (s *AdaptiveSwitch) wireNeighbors(n *Network) {
 // Name implements sim.Component.
 func (s *AdaptiveSwitch) Name() string { return fmt.Sprintf("adsw(%d,%d)", s.x, s.y) }
 
-// Buffered implements Router; the adaptive switch stores nothing.
-func (s *AdaptiveSwitch) Buffered() int { return 0 }
-
 // PeakBuffered implements Router; the adaptive switch stores nothing.
 func (s *AdaptiveSwitch) PeakBuffered() int { return 0 }
 
@@ -87,7 +84,8 @@ func (s *AdaptiveSwitch) pickPort(candidates []Port, taken *[NumPorts]bool) (Por
 // allPorts enumerates every port, for the deflection fallback.
 var allPorts = [NumPorts]Port{East, West, North, South}
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch. The
+// Step implements Router; the switch stage calls it in sim.PhaseSwitch on
+// the cycles the switch has work (see stage.go). The
 // structure mirrors DeflSwitch.Step — collect, eject oldest, route oldest
 // first, deflect the rest, inject into leftover capacity — with the
 // congestion-aware pickPort replacing first-free port selection.
@@ -117,7 +115,8 @@ func (s *AdaptiveSwitch) Step(now int64) {
 	}
 
 	if len(pool) == 0 {
-		// Idle fast path: only possible work is an injection.
+		// Injection-only fast path: no flit arrived, so the only
+		// possible work is an injection.
 		if f, ok := s.local.TryPull(); ok {
 			s.Stats.Injected.Inc()
 			s.net.noteInjected()

@@ -45,6 +45,7 @@ type checkedPort struct {
 }
 
 func (c *checkedPort) TryPull() (flit.Flit, bool) { return c.node.TryPull() }
+func (c *checkedPort) Pending() int               { return c.node.Pending() }
 
 func (c *checkedPort) Deliver(f flit.Flit, now int64) {
 	if int(f.DstX) != c.x || int(f.DstY) != c.y {

@@ -47,9 +47,6 @@ type routedFlit struct {
 // Name implements sim.Component.
 func (s *DeflSwitch) Name() string { return fmt.Sprintf("sw(%d,%d)", s.x, s.y) }
 
-// Buffered implements Router; the deflection switch stores nothing.
-func (s *DeflSwitch) Buffered() int { return 0 }
-
 // PeakBuffered implements Router; the deflection switch stores nothing.
 func (s *DeflSwitch) PeakBuffered() int { return 0 }
 
@@ -59,7 +56,8 @@ func (s *DeflSwitch) Deflections() int64 { return s.Stats.Deflected.Value() }
 // EjectedCount implements Router.
 func (s *DeflSwitch) EjectedCount() int64 { return s.Stats.Ejected.Value() }
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch.
+// Step implements Router; the switch stage calls it in sim.PhaseSwitch on
+// the cycles the switch has work (see stage.go).
 func (s *DeflSwitch) Step(now int64) {
 	pool := s.pool[:0]
 	for p := 0; p < int(NumPorts); p++ {
@@ -70,9 +68,9 @@ func (s *DeflSwitch) Step(now int64) {
 		}
 	}
 	if len(pool) == 0 {
-		// Idle fast path: no flits in flight through this switch, so every
-		// output port is free and the only possible work is an injection.
-		// This is the common case at the calibrated workloads' loads and
+		// Injection-only fast path: no flit arrived, so every output port
+		// is free and the only possible work is an injection (the switch
+		// stage steps an idle switch only for a pending local flit). It
 		// skips the ejection/sort/placement machinery entirely.
 		if f, ok := s.local.TryPull(); ok {
 			s.injectIntoIdle(f)

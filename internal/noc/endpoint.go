@@ -11,12 +11,17 @@ import "repro/internal/flit"
 // Deliver is called by the switch at most once per cycle to eject a flit
 // addressed to this node.
 //
+// Pending reports how many flits the node holds ready for injection. A
+// switch with no flit arriving steps only when it is non-zero, so TryPull
+// must fail, and change nothing, whenever Pending returns 0.
+//
 // Nodes run in sim.PhaseNode and switches in sim.PhaseSwitch, so a flit
 // enqueued by a node is injectable in the same cycle, giving the paper's
 // peak throughput of one flit per cycle.
 type LocalPort interface {
 	TryPull() (flit.Flit, bool)
 	Deliver(f flit.Flit, now int64)
+	Pending() int
 }
 
 // nullPort is attached to switches with no node; it never injects and

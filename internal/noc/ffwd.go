@@ -3,20 +3,23 @@ package noc
 // Fast-forward and checkpoint capabilities of the switches and the cmesh
 // concentrator (see internal/sim/ffwd.go and internal/sim/snapshot.go for
 // the engine-side contracts; the traffic nodes' pre-drawn gating lives in
-// traffic.go).
+// traffic.go). The switches reach the engine only through the switch
+// stage (stage.go), which decides every cycle which of them to step and
+// answers the engine's idle probe for all of them.
 //
-// What "idle" means per router kind:
+// What "idle" means for a switch, given no flit arriving on an input link
+// (the stage wakes a switch for an arrival by itself): nothing stored in
+// the switch and nothing pending at its local port (routerPorts.idle).
+// Per router kind:
 //
 //   - Deflection and adaptive switches store nothing between cycles, so
-//     with no flit on any link (the engine's quiet precondition) and no
-//     source reporting pending work they are fully passive: NoEvent.
-//   - The XY switch is passive when its input queues are empty; its
-//     round-robin pointer advances every cycle regardless, so skipped
-//     cycles compensate it in Skipped.
-//   - The wormhole switch is passive only when its buffers are empty AND
-//     no returned credit is awaiting collection: a pending credit folds on
-//     a parity the next Step derives from the clock, so skipping over one
-//     would fold it on the wrong cycle.
+//     an idle one is fully passive.
+//   - The XY switch's round-robin pointer advances every cycle, idle or
+//     not, so cycles it sleeps through are compensated in Skipped.
+//   - A wormhole switch must also collect a returned credit on the cycle
+//     after its return (the fold's parity comes from the clock);
+//     returnCredit wakes the receiving switch through the stage for
+//     exactly that cycle.
 //   - The concentrator is passive unless its output latch is occupied
 //     (the switch must drain it); endpoints with queued flits keep the
 //     engine ticking by themselves (TrafficNode.NextEvent returns now).
@@ -27,46 +30,11 @@ import (
 	"repro/internal/sim"
 )
 
-// pendingReporter is the optional LocalPort capability the switches' idle
-// detection relies on: the current source-queue occupancy. TrafficNode and
-// the concentrator implement it; an attached port that does not (a test
-// stub, say) makes its switch veto every skip — fast-forward silently
-// degrades to plain ticking rather than risking an unserved injection.
-type pendingReporter interface{ Pending() int }
-
-// portIdle reports whether the local port provably has nothing to inject.
-func portIdle(p LocalPort) bool {
-	if p == nil {
-		return true
-	}
-	pr, ok := p.(pendingReporter)
-	return ok && pr.Pending() == 0
-}
-
-// NextEvent implements sim.NextEventer; the bufferless deflection switch
-// holds no state across cycles, so it is passive whenever its local port
-// provably has nothing to inject.
-func (s *DeflSwitch) NextEvent(now int64) int64 {
-	if !portIdle(s.local) {
-		return now
-	}
-	return sim.NoEvent
-}
-
 // Snapshot implements sim.Checkpointable.
 func (s *DeflSwitch) Snapshot() any { return s.Stats }
 
 // Restore implements sim.Checkpointable.
 func (s *DeflSwitch) Restore(snap any) { s.Stats = snap.(SwitchStats) }
-
-// NextEvent implements sim.NextEventer; the adaptive switch is bufferless
-// like the deflection switch.
-func (s *AdaptiveSwitch) NextEvent(now int64) int64 {
-	if !portIdle(s.local) {
-		return now
-	}
-	return sim.NoEvent
-}
 
 // Snapshot implements sim.Checkpointable.
 func (s *AdaptiveSwitch) Snapshot() any { return s.Stats }
@@ -74,18 +42,10 @@ func (s *AdaptiveSwitch) Snapshot() any { return s.Stats }
 // Restore implements sim.Checkpointable.
 func (s *AdaptiveSwitch) Restore(snap any) { s.Stats = snap.(SwitchStats) }
 
-// NextEvent implements sim.NextEventer: buffered flits mean work every
-// cycle; empty queues mean fully passive.
-func (s *XYSwitch) NextEvent(now int64) int64 {
-	if s.buffered > 0 || !portIdle(s.local) {
-		return now
-	}
-	return sim.NoEvent
-}
-
 // Skipped implements sim.Skipper: Step advances the round-robin pointer
 // unconditionally every cycle, including idle ones, so skipped cycles must
-// advance it by exactly the same amount.
+// advance it by exactly the same amount. The switch stage calls it for the
+// cycles the switch slept through, just before its next Step.
 func (s *XYSwitch) Skipped(from, to int64) {
 	nq := len(s.queues)
 	s.rrStart = (s.rrStart + int((to-from)%int64(nq))) % nq
@@ -118,25 +78,6 @@ func (s *XYSwitch) Restore(snap any) {
 		s.queues[q] = append(s.queues[q][:0], sn.queues[q]...)
 	}
 	s.rrStart, s.buffered, s.peakBuf, s.Stats = sn.rrStart, sn.buffered, sn.peakBuf, sn.stats
-}
-
-// NextEvent implements sim.NextEventer: the wormhole switch acts whenever
-// it holds flits (input buffers or injection queue) or a returned credit
-// is awaiting its parity-scheduled collection.
-func (s *WormholeSwitch) NextEvent(now int64) int64 {
-	if s.buffered > 0 || !portIdle(s.local) {
-		return now
-	}
-	for par := range s.pending {
-		for p := range s.pending[par] {
-			for v := range s.pending[par][p] {
-				if s.pending[par][p][v] != 0 {
-					return now
-				}
-			}
-		}
-	}
-	return sim.NoEvent
 }
 
 // whSnap is the checkpointed state of a WormholeSwitch.
@@ -191,16 +132,16 @@ func (c *concentrator) NextEvent(now int64) int64 {
 		return now
 	}
 	for _, ep := range c.eps {
-		if !portIdle(ep) {
+		if ep.Pending() > 0 {
 			return now
 		}
 	}
 	return sim.NoEvent
 }
 
-// Pending implements the pendingReporter probe for the owning switch: the
-// concentrator is the switch's local port on concentrated topologies, and
-// its injectable backlog is the latch.
+// Pending implements LocalPort for the switch side: the concentrator is
+// the switch's local port on concentrated topologies, and its injectable
+// backlog is the latch.
 func (c *concentrator) Pending() int {
 	if c.hasLatch {
 		return 1

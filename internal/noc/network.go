@@ -54,9 +54,11 @@ func NewXYNetwork(e *sim.Engine, topo Topology) *Network {
 
 // NewRouterNetwork builds the topology's switch grid with switches of the
 // given kind, wires every link the fabric defines (mesh edges have none),
-// registers everything with the engine (sim.PhaseSwitch; local crossbars
-// of concentrated topologies in sim.PhaseNode), and attaches a null port
-// to every endpoint. Call Attach to connect real nodes.
+// registers everything with the engine, and attaches a null port to every
+// endpoint. Call Attach to connect real nodes. The switches reach the
+// engine as one component, the switch stage in sim.PhaseSwitch, which
+// steps each switch only on the cycles it has work (see stage.go); local
+// crossbars of concentrated topologies register in sim.PhaseNode.
 func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 	n := &Network{Topo: topo, Kind: kind}
 	n.Routers = make([]Router, topo.NumNodes())
@@ -66,9 +68,11 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 			id: id, x: x, y: y, topo: topo, local: &nullPort{}, net: n,
 		})
 	}
+	stage := newSwitchStage(e, n.Routers)
 	// Create one register per directed link, shared between the producing
-	// switch's out port and the consuming switch's in port. Ports the
-	// fabric defines no link for stay nil, and every router skips them.
+	// switch's out port and the consuming switch's in port; its commits
+	// wake the consuming switch. Ports the fabric defines no link for stay
+	// nil, and every router skips them.
 	for id, r := range n.Routers {
 		rp := r.wiring()
 		for p := Port(0); p < NumPorts; p++ {
@@ -78,7 +82,9 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 			}
 			reg := sim.NewReg[flit.Flit](e, fmt.Sprintf("link %d.%v", id, p))
 			rp.out[p] = reg
-			n.Routers[nb].wiring().in[p.Opposite()] = reg
+			dst := n.Routers[nb].wiring()
+			dst.in[p.Opposite()] = reg
+			reg.SetWake(dst.wake)
 		}
 	}
 	// Cross-switch wiring beyond the links (credit wires, congestion
@@ -103,9 +109,7 @@ func NewRouterNetwork(e *sim.Engine, topo Topology, kind RouterKind) *Network {
 			e.Register(sim.PhaseNode, n.conc[id])
 		}
 	}
-	for _, r := range n.Routers {
-		e.Register(sim.PhaseSwitch, r)
-	}
+	e.Register(sim.PhaseSwitch, stage)
 	return n
 }
 

@@ -24,6 +24,8 @@ func (c *collector) TryPull() (flit.Flit, bool) {
 	return f, true
 }
 
+func (c *collector) Pending() int { return len(c.out) }
+
 func (c *collector) Deliver(f flit.Flit, now int64) {
 	c.got = append(c.got, f)
 	c.when = append(c.when, now)

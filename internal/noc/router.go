@@ -100,10 +100,14 @@ func ParseRouter(s string) (RouterKind, error) {
 
 // Router is one switch instance of a routing algorithm. Implementations
 // share the wiring block (routerPorts) that NewRouterNetwork fills in; the
-// interface exposes only what the network, tracer and conformance tests
-// need, so the set of implementations stays closed inside this package.
+// interface exposes only what the network, the switch stage, the tracer
+// and the conformance tests need, so the set of implementations stays
+// closed inside this package. Routers are not engine components: the
+// network's switch stage steps them, on the cycles they have work, and
+// checkpoints them (see stage.go).
 type Router interface {
 	sim.Component
+	sim.Checkpointable
 	// ID returns the switch's node id.
 	ID() int
 	// Buffered returns the number of flits currently stored inside the
@@ -142,10 +146,25 @@ type routerPorts struct {
 
 	local LocalPort
 	net   *Network
+	// buffered counts the flits stored inside the switch (input buffers
+	// and injection queue); it stays 0 in the bufferless kinds.
+	buffered int
+	// wake is the switch's wake stamp in the network's switch stage: a
+	// neighbour that hands the switch work outside the link registers (a
+	// returned wormhole credit) stores the cycle the work is due.
+	wake *int64
 }
 
 // ID implements Router.
 func (rp *routerPorts) ID() int { return rp.id }
+
+// Buffered implements Router.
+func (rp *routerPorts) Buffered() int { return rp.buffered }
+
+// idle reports whether the switch has no work of its own: nothing stored
+// and nothing pending at its local port. Work arriving from neighbours
+// wakes it through the switch stage instead.
+func (rp *routerPorts) idle() bool { return rp.buffered == 0 && rp.local.Pending() == 0 }
 
 func (rp *routerPorts) wiring() *routerPorts { return rp }
 

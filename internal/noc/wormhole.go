@@ -72,7 +72,6 @@ type WormholeSwitch struct {
 	// arrived there returns one credit to it.
 	up [NumPorts]*WormholeSwitch
 
-	buffered  int
 	peakBuf   int
 	minCredit int // most negative headroom ever observed (stays >= 0)
 
@@ -105,9 +104,6 @@ func (s *WormholeSwitch) wireCredits(n *Network) {
 // Name implements sim.Component.
 func (s *WormholeSwitch) Name() string { return fmt.Sprintf("whsw(%d,%d)", s.x, s.y) }
 
-// Buffered implements Router.
-func (s *WormholeSwitch) Buffered() int { return s.buffered }
-
 // PeakBuffered implements Router.
 func (s *WormholeSwitch) PeakBuffered() int { return s.peakBuf }
 
@@ -127,8 +123,11 @@ func (s *WormholeSwitch) MinCredit() int { return s.minCredit }
 // travels on a dedicated wire: it lands in the upstream switch's pending
 // accumulator for the current cycle and becomes spendable at its next
 // Step, so turnaround time does not depend on the order switches step in.
+// The credit also wakes the upstream switch for that next Step.
 func (s *WormholeSwitch) returnCredit(q Port, v uint8, now int64) {
-	s.up[q].pending[now&1][q.Opposite()][v]++
+	up := s.up[q]
+	up.pending[now&1][q.Opposite()][v]++
+	*up.wake = now + 1
 }
 
 // collectCredits folds the credits returned during the previous cycle
@@ -224,7 +223,8 @@ func (s *WormholeSwitch) pop(h whHead, now int64) {
 	}
 }
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch.
+// Step implements Router; the switch stage calls it in sim.PhaseSwitch on
+// the cycles the switch has work (see stage.go).
 func (s *WormholeSwitch) Step(now int64) {
 	// 0. Collect the credits the downstream switches returned last cycle.
 	s.collectCredits(now)

@@ -19,9 +19,7 @@ type XYSwitch struct {
 
 	queues  [NumPorts + 1][]flit.Flit // +1: local injection queue
 	rrStart int
-
-	buffered int // total occupancy across all queues
-	peakBuf  int
+	peakBuf int
 
 	Stats XYStats
 }
@@ -37,9 +35,6 @@ type XYStats struct {
 // Name implements sim.Component.
 func (s *XYSwitch) Name() string { return fmt.Sprintf("xysw(%d,%d)", s.x, s.y) }
 
-// Buffered implements Router.
-func (s *XYSwitch) Buffered() int { return s.buffered }
-
 // PeakBuffered implements Router.
 func (s *XYSwitch) PeakBuffered() int { return s.peakBuf }
 
@@ -49,7 +44,8 @@ func (s *XYSwitch) Deflections() int64 { return 0 }
 // EjectedCount implements Router.
 func (s *XYSwitch) EjectedCount() int64 { return s.Stats.Ejected.Value() }
 
-// Step implements sim.Component; it runs in sim.PhaseSwitch.
+// Step implements Router; the switch stage calls it in sim.PhaseSwitch on
+// the cycles the switch has work (see stage.go).
 func (s *XYSwitch) Step(now int64) {
 	// Accept arrivals into input queues.
 	for p := 0; p < int(NumPorts); p++ {

@@ -114,7 +114,9 @@ func WriteFrame(w io.Writer, v any) error {
 
 // ReadFrame reads one length-prefixed frame into v. A clean EOF between
 // frames returns io.EOF verbatim (the stream ended); EOF inside a frame
-// is an ErrUnexpectedEOF-wrapped error.
+// is an ErrUnexpectedEOF-wrapped error. The body buffer grows with the
+// bytes that actually arrive, so a header claiming a large frame costs
+// memory only once its body does.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -127,8 +129,11 @@ func ReadFrame(r io.Reader, v any) error {
 	if n > MaxFrame {
 		return fmt.Errorf("shard: frame of %d bytes exceeds the %d-byte bound (stream desynchronized?)", n, MaxFrame)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
+	data, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(data) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return fmt.Errorf("shard: reading %d-byte frame body: %w", n, err)
 	}
 	if err := json.Unmarshal(data, v); err != nil {

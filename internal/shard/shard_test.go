@@ -3,11 +3,15 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -341,4 +345,66 @@ func assertSameResults(t *testing.T, got, want []scenario.Result) {
 	if gotCSV != wantCSV {
 		t.Errorf("sharded CSV diverges:\n--- sharded ---\n%s--- direct ---\n%s", gotCSV, wantCSV)
 	}
+}
+
+func TestReadFrameShortBodyDoesNotAllocateClaimedSize(t *testing.T) {
+	// A header claiming the largest allowed frame, followed by a few body
+	// bytes: the read must fail without allocating the claimed 64 MiB.
+	frame := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	frame = append(frame, `{"id":1}`...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var v Response
+	err := ReadFrame(bytes.NewReader(frame), &v)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short body read = %v, want an ErrUnexpectedEOF-wrapped error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("short body behind a %d-byte header allocated %d bytes", MaxFrame, got)
+	}
+}
+
+// FuzzReadFrame holds the frame decoder's contract on arbitrary bytes —
+// the stream a remote worker or coordinator can send: it never panics,
+// an empty stream is a clean io.EOF, and a frame that decodes re-encodes
+// to a frame that decodes to the same bytes again (both frame types).
+func FuzzReadFrame(f *testing.F) {
+	frame := func(body string) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	f.Add([]byte{})
+	f.Add(frame(`{"version":1,"id":7,"scenario":{"workload":"noc-synthetic"},"shard":2,"shards":5,"code_version":"v1"}`))
+	f.Add(frame(`{"id":7,"type":"result","done":3,"total":3,"root":"abc"}`))
+	f.Add(frame(`{"id":1,"type":"error","error":"boom"}`))
+	f.Add(frame(`not json`))
+	f.Add([]byte{0, 0, 1})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(append(binary.BigEndian.AppendUint32(nil, MaxFrame), `{"id":1}`...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, v := range []any{&Request{}, &Response{}} {
+			err := ReadFrame(bytes.NewReader(data), v)
+			if (err == io.EOF) != (len(data) == 0) {
+				t.Fatalf("ReadFrame(%d bytes) = %v; io.EOF must mean exactly an empty stream", len(data), err)
+			}
+			if err != nil {
+				continue
+			}
+			var first bytes.Buffer
+			if err := WriteFrame(&first, v); err != nil {
+				t.Fatalf("re-encoding a decoded frame: %v", err)
+			}
+			again := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+			if err := ReadFrame(bytes.NewReader(first.Bytes()), again); err != nil {
+				t.Fatalf("decoding a re-encoded frame: %v", err)
+			}
+			var second bytes.Buffer
+			if err := WriteFrame(&second, again); err != nil {
+				t.Fatalf("re-encoding twice: %v", err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("frame does not survive a round trip:\n  first:  %q\n  second: %q", first.Bytes(), second.Bytes())
+			}
+		}
+	})
 }

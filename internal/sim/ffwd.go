@@ -8,6 +8,12 @@ package sim
 // the empty cycles is the next multiplier after PR 1's constant-factor
 // work on Tick itself.
 //
+// The probe runs before every tick of a quiet engine, including the many
+// where some component has work, so it must be cheap: it asks the
+// component that vetoed the previous probe first and stops at the first
+// veto, so a stretch in which one component stays busy costs one
+// NextEvent call per tick (see maybeFastForward).
+//
 // Correctness contract: a skipped cycle must be indistinguishable from a
 // ticked one. Components whose Step mutates state unconditionally every
 // cycle (stall counters, round-robin pointers, pre-drawn RNG gating)
@@ -69,20 +75,34 @@ func (e *Engine) CyclesSkipped() int64 { return e.cyclesSkipped }
 // cooperates. Called by the run loops before each Tick; a no-op whenever
 // any precondition fails, so engines with non-NextEventer components
 // simply never skip.
+//
+// The probe asks first the eventer that vetoed the previous probe: a busy
+// stretch is usually one component's work (a PE computing, a switch
+// draining its node), so one call settles most probes instead of a sweep
+// over every component. The order cannot change the outcome: NextEvent is
+// a query whose answer does not depend on which other components were
+// asked before it (TrafficNode's pre-draw consumes each cycle's random
+// draw once, in cycle order, whichever probe first reaches that cycle).
 func (e *Engine) maybeFastForward(limit int64) {
 	if e.ffwdOff || !e.quiet || e.nonEventers > 0 || len(e.eventers) == 0 {
 		return
 	}
 	now := e.cycle
-	next := limit
-	for _, ev := range e.eventers {
+	next := e.eventers[e.lastVeto].NextEvent(now)
+	if next <= now {
+		return // the last vetoer still has work: tick normally
+	}
+	next = min(next, limit)
+	for i, ev := range e.eventers {
+		if i == e.lastVeto {
+			continue
+		}
 		t := ev.NextEvent(now)
 		if t <= now {
-			return // someone may act this cycle: tick normally
+			e.lastVeto = i // someone may act this cycle: tick normally
+			return
 		}
-		if t < next {
-			next = t
-		}
+		next = min(next, t)
 	}
 	if next <= now {
 		return

@@ -33,6 +33,18 @@
 // overwhelming majority of the 64 link registers are idle on any given
 // cycle, and the engine pays nothing for them.
 //
+// A register can also tell its consumer when it holds a value: SetWake
+// points it at a stamp that every commit overwrites with the cycle the
+// value is observable in. The NoC's switch stage registers as one
+// component for all its switches and uses those stamps to step only the
+// switches a flit arrives at, plus those with work of their own, so an
+// idle switch costs a stamp compare and an idle check per cycle rather
+// than a Step.
+//
+// Idle cycles of the whole engine are skipped by fast-forward (ffwd.go):
+// before each tick of a quiet engine, one probe asks the components for
+// their next event, starting with the one that vetoed the previous probe.
+//
 // Run `go test ./internal/noc -bench BenchmarkTick -run '^$'` to measure
 // the per-cycle cost on the paper's 4x4 mesh, and see the repository
 // doc.go Performance section for profiling the full experiment binaries.
@@ -90,12 +102,15 @@ type Engine struct {
 	// Idle fast-forward state (see ffwd.go). eventers/skippers cache the
 	// capability interfaces of the registered components; nonEventers
 	// counts components that cannot report a next-event cycle (any such
-	// component disables fast-forward for the whole engine). quiet tracks
-	// whether the previous Tick committed nothing, i.e. no register holds
-	// an observable value in the current cycle.
+	// component disables fast-forward for the whole engine). lastVeto
+	// indexes the eventer that vetoed the previous probe; the next probe
+	// asks it first. quiet tracks whether the previous Tick committed
+	// nothing, i.e. no register holds an observable value in the current
+	// cycle.
 	eventers      []NextEventer
 	skippers      []Skipper
 	nonEventers   int
+	lastVeto      int
 	quiet         bool
 	ffwdOff       bool
 	cyclesSkipped int64
@@ -269,6 +284,10 @@ type Reg[T any] struct {
 	cur, next T
 	written   bool
 	name      string
+	// wake, when set, receives validAt on every commit: the consumer of
+	// the register learns which cycle the value is for without polling
+	// it (see SetWake).
+	wake *int64
 }
 
 // NewReg creates a register attached to the engine.
@@ -295,6 +314,12 @@ func (r *Reg[T]) restore(s any) {
 	rs := s.(regSnap[T])
 	r.cur, r.validAt, r.written = rs.cur, rs.validAt, false
 }
+
+// SetWake makes every commit of the register store the cycle during which
+// the new value is observable into *stamp. A consumer that steps only on
+// cycles it has work (the NoC's switch stage) compares the stamp against
+// the clock instead of polling its input registers.
+func (r *Reg[T]) SetWake(stamp *int64) { r.wake = stamp }
 
 // Valid reports whether the register currently holds a value.
 func (r *Reg[T]) Valid() bool { return r.validAt == r.eng.cycle }
@@ -325,6 +350,9 @@ func (r *Reg[T]) commit(visibleAt int64) {
 	r.cur = r.next
 	r.validAt = visibleAt
 	r.written = false
+	if r.wake != nil {
+		*r.wake = visibleAt
+	}
 }
 
 // FuncComponent adapts a function to the Component interface, handy in
